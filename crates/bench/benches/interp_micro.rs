@@ -1,12 +1,15 @@
-//! Prepared-vs-legacy interpreter microbenches — the measurement behind
+//! Runtime-vs-legacy microbenches — the measurement behind
 //! `BENCH_interp.json`.
 //!
-//! Three verified programs of increasing memory traffic run on both
-//! engines: the Fig. 2 NUMA policy (context loads), a pure ALU chain
-//! (dispatch-bound), and a map lookup/update mix (helper-bound). Each
-//! program's executed-instruction count is printed so ns/insn can be
-//! computed from the reported medians. `prepare` itself is measured too:
-//! it is a one-time cost paid at load, not per invocation.
+//! Three verified programs of increasing memory traffic run on the legacy
+//! interpreter (the differential oracle) and on the runtime
+//! (`PreparedProgram::run`, which executes the compiled jit form), the
+//! latter with and without the prepare-time optimizer: the Fig. 2 NUMA
+//! policy (context loads), a pure ALU chain (dispatch-bound), and a map
+//! lookup/update mix (helper-bound). Each program's executed-instruction
+//! count is printed so ns/insn can be computed from the reported medians.
+//! `prepare` and the jit compile are measured too: they are one-time
+//! costs paid at load and on the first run, not per invocation.
 
 use std::sync::Arc;
 
@@ -17,7 +20,6 @@ use cbpf::interp::{run_with_budget, DEFAULT_BUDGET};
 use cbpf::map::{Map, MapDef, MapKind};
 use cbpf::opt::OptConfig;
 use cbpf::program::{Program, ProgramBuilder};
-use cbpf::ExecTier;
 use concord::hookctx;
 use criterion::{criterion_group, criterion_main, Criterion};
 use locks::hooks::{CmpNodeCtx, NodeView};
@@ -87,7 +89,7 @@ fn bench_pair(
     let env = FixedEnv::new().cpu(12).numa(1);
     // One context buffer reused across iterations: re-running on the
     // previous run's output is idempotent for these programs, and keeping
-    // marshalling out of the loop isolates interpretation cost (the
+    // marshalling out of the loop isolates execution cost (the
     // marshal-included path is measured in vm_micro).
     let mut ctx = make_ctx();
     let insns = run_with_budget(prog, &mut ctx, layout, &env, DEFAULT_BUDGET)
@@ -98,34 +100,15 @@ fn bench_pair(
     g.bench_function(&format!("{name}/legacy"), |b| {
         b.iter(|| run_with_budget(prog, &mut ctx, layout, &env, DEFAULT_BUDGET).unwrap())
     });
-    // Tiers are pinned with run_tier from here on: criterion's warmup
-    // alone crosses the hot-invocation threshold, so an unpinned `run`
-    // would silently measure the compiled tier on every row.
-    //
     // Lowering alone vs lowering + the prepare-time optimizer, so the
-    // optimizer's contribution is separable from the dispatch win.
+    // optimizer's contribution is separable from the jit's.
     let unopt = prog.prepare_with(layout, OptConfig::none());
-    g.bench_function(&format!("{name}/prepared_noopt"), |b| {
-        b.iter(|| {
-            unopt
-                .run_tier(ExecTier::Interp, &mut ctx, &env, DEFAULT_BUDGET)
-                .unwrap()
-        })
+    g.bench_function(&format!("{name}/jit_noopt"), |b| {
+        b.iter(|| unopt.run(&mut ctx, &env, DEFAULT_BUDGET).unwrap())
     });
     let prepared = prog.prepare(layout);
-    g.bench_function(&format!("{name}/prepared"), |b| {
-        b.iter(|| {
-            prepared
-                .run_tier(ExecTier::Interp, &mut ctx, &env, DEFAULT_BUDGET)
-                .unwrap()
-        })
-    });
     g.bench_function(&format!("{name}/jit"), |b| {
-        b.iter(|| {
-            prepared
-                .run_tier(ExecTier::Jit, &mut ctx, &env, DEFAULT_BUDGET)
-                .unwrap()
-        })
+        b.iter(|| prepared.run(&mut ctx, &env, DEFAULT_BUDGET).unwrap())
     });
 }
 

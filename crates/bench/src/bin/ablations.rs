@@ -241,7 +241,7 @@ fn sweep_telemetry(window: u64) {
 }
 
 fn sweep_rollout(window: u64) {
-    use concord::policy::AttachedNoopPolicy;
+    use concord::policy::{PatchedEntryPolicy, TRAMPOLINE_NS};
     use concord::rollout::{
         AlwaysGreen, ChaosInjector, Rollout, RolloutLog, RolloutOutcome, RolloutPlan, SimTarget,
     };
@@ -261,7 +261,7 @@ fn sweep_rollout(window: u64) {
         let lock = Rc::new(SimShflLock::new(&sim));
         if via_rollout {
             let target = SimTarget::new(vec![("ht".to_string(), Rc::clone(&lock))], |_| {
-                Rc::new(AttachedNoopPolicy) as Rc<dyn SimPolicy>
+                Rc::new(PatchedEntryPolicy(TRAMPOLINE_NS)) as Rc<dyn SimPolicy>
             });
             let plan = RolloutPlan::staged(1, "noop", HookKind::CmpNode, &["ht".to_string()], &[]);
             let log = RolloutLog::new();
@@ -269,7 +269,7 @@ fn sweep_rollout(window: u64) {
                 .expect("rollout ran");
             assert_eq!(out, RolloutOutcome::Committed, "rollout must commit");
         } else {
-            lock.set_policy(Rc::new(AttachedNoopPolicy));
+            lock.set_policy(Rc::new(PatchedEntryPolicy(TRAMPOLINE_NS)));
         }
         let table = Rc::new(RefCell::new(c3_bench::hashtable::HashTable::new(1024)));
         for k in 0..4096u64 {

@@ -4,6 +4,7 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
+use concord::policy::{PatchedEntryPolicy, TRAMPOLINE_NS};
 use concord::Concord;
 use ksim::{Sim, SimBuilder, TaskCtx};
 use simlocks::{NativePolicy, SimBravo, SimMcsLock, SimNeutralRwLock, SimShflLock};
@@ -256,7 +257,7 @@ pub fn run_hashtable(threads: u32, series: HtSeries, window_ns: u64, seed: u64) 
     match series {
         HtSeries::Baseline => {}
         HtSeries::ConcordNoop => {
-            lock.set_policy(Rc::new(concord::policy::AttachedNoopPolicy));
+            lock.set_policy(Rc::new(PatchedEntryPolicy(TRAMPOLINE_NS)));
         }
         HtSeries::ConcordNoopContained => {
             use cbpf::fault::{FaultInjector, FaultPlan};
@@ -266,7 +267,7 @@ pub fn run_hashtable(threads: u32, series: HtSeries, window_ns: u64, seed: u64) 
             let injector = Arc::new(FaultInjector::new(FaultPlan::inert(seed)));
             lock.set_policy(Rc::new(ContainedPolicy::new(
                 &sim,
-                Rc::new(concord::policy::AttachedNoopPolicy),
+                Rc::new(PatchedEntryPolicy(TRAMPOLINE_NS)),
                 breaker,
                 Some(injector),
             )));

@@ -1,4 +1,4 @@
-//! Deterministic fault injection for the prepared interpreter.
+//! Deterministic fault injection for prepared-program runs.
 //!
 //! The verifier makes genuine runtime faults unreachable for accepted
 //! programs, so exercising Concord's containment path (fail-safe
@@ -9,11 +9,14 @@
 //! produces bit-identical fault positions — which is what lets the DES
 //! containment tests compare trace hashes across runs.
 //!
-//! Injection happens inside [`crate::PreparedProgram::run_with_faults`]:
-//! the invocation trigger fires before the first instruction, helper-rate
+//! Injection happens inside [`crate::PreparedProgram::run_with_faults`],
+//! in the compiled ([`crate::jit`]) form every run executes: the
+//! invocation trigger fires before the first instruction, helper-rate
 //! faults fire at helper call sites. The plain `run` entry point never
 //! consults an injector, so differential tests against the legacy
-//! interpreter are unaffected.
+//! interpreter are unaffected. One injector may be shared by many
+//! programs and hooks; its invocation and draw counters are global to
+//! it, so fault positions number every run it arms.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

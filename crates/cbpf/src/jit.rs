@@ -1,21 +1,24 @@
-//! The compiled execution tier: a prepare-time translation of the
-//! prepared ([`crate::prepare`]) instruction stream into direct-threaded
-//! steps, in pure Rust — no external backend and no `unsafe` codegen.
+//! The execution engine: a translation of the prepared
+//! ([`crate::prepare`]) instruction stream into direct-threaded steps, in
+//! pure Rust — no external backend and no `unsafe` codegen. Every
+//! [`crate::PreparedProgram`] run executes this form, compiled once on
+//! the first run; the legacy [`crate::interp`] remains as the
+//! differential oracle it is tested against.
 //!
 //! # Dispatch technique
 //!
-//! The prepared interpreter pays one dispatch, one budget compare and one
-//! budget add per slot. The compiled tier folds every maximal run of
-//! *pure* instructions (ALU ops, register moves, and stack accesses whose
-//! address resolves at compile time to an in-bounds frame offset) into
-//! the `pre` micro-op prefix of the next non-pure step: one dispatch and
-//! one budget charge cover the whole group. Non-pure instructions —
-//! context and map-value memory, helpers, traces, jumps, exit — each
-//! become one [`JStep`], mirroring the prepared arm one-for-one and
-//! reusing the shared [`Runner`] methods so the two tiers cannot drift
-//! in fault semantics. A pure run whose successor is a jump target
-//! cannot merge into it (other paths enter there without the prefix), so
-//! it closes as a standalone [`JOp::Nop`] step.
+//! Executing the prepared form slot by slot would pay one dispatch, one
+//! budget compare and one budget add per slot. The compiler instead folds
+//! every maximal run of *pure* instructions (ALU ops, register moves, and
+//! stack accesses whose address resolves at compile time to an in-bounds
+//! frame offset) into the `pre` micro-op prefix of the next non-pure
+//! step: one dispatch and one budget charge cover the whole group.
+//! Non-pure instructions — context and map-value memory, helpers,
+//! traces, jumps, exit — each become one [`JStep`] that uses the shared
+//! [`Runner`] memory and helper methods, whose faults mirror the legacy
+//! interpreter's. A pure run whose successor is a jump target cannot
+//! merge into it (other paths enter there without the prefix), so it
+//! closes as a standalone [`JOp::Nop`] step.
 //!
 //! On top of the group structure the compiler runs a local constant
 //! lattice (registers plus frame bytes, reset at every join point):
@@ -43,24 +46,25 @@
 //!
 //! # Weight-table equivalence
 //!
-//! Budget accounting must be bit-identical to the interpreter: the same
-//! `RunReport::insns` on success and `BudgetExhausted` at exactly the
-//! same budgets. Every step's `weight` is the sum of the prepared
-//! per-slot weights of its pure prefix plus its own slot, charged up
-//! front. This is sound because a pure prefix has no observable effect:
-//! wherever inside the group the interpreter's budget dies — at a
-//! prefix slot or at the step's own loop-top charge — it reports
-//! `BudgetExhausted` with identical context/map/trace state (none of
-//! the prefix's register or frame writes are observable), and on every
-//! surviving path the total charged is the same sum. Faulting steps
-//! charge before executing, exactly like the interpreter's loop-top
-//! charge, so budget exhaustion still wins over the fault the slot
-//! itself would raise.
+//! Budget accounting must be bit-identical to the legacy interpreter:
+//! the same `RunReport::insns` on success and `BudgetExhausted` at
+//! exactly the same budgets. The prepared form carries a per-slot weight
+//! table for this (1 per source instruction, a fused pair's whole charge
+//! on its first slot); every step's `weight` is the sum of the slot
+//! weights of its pure prefix plus its own slot, charged up front. This
+//! is sound because a pure prefix has no observable effect: wherever
+//! inside the group a slot-by-slot execution's budget dies — at a prefix
+//! slot or at the step's own slot — it reports `BudgetExhausted` with
+//! identical context/map/trace state (none of the prefix's register or
+//! frame writes are observable), and on every surviving path the total
+//! charged is the same sum. Faulting steps charge before executing, like
+//! the legacy interpreter's loop-top charge, so budget exhaustion still
+//! wins over the fault the slot itself would raise.
 //!
-//! Fault-injection parity follows the same rule: the injector is
-//! consulted at helper steps only, keyed by the original program counter
-//! and helper id, and pure prefixes contain no helpers — so the
-//! injector's deterministic draw sequence is identical across tiers.
+//! Fault injection follows the same rule: the injector is consulted once
+//! per run before the first step and at helper steps only, keyed by the
+//! original program counter and helper id — so a plan's deterministic
+//! draw sequence depends only on the helper calls a run makes.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -269,10 +273,9 @@ enum JOp {
     },
 }
 
-/// A compiled program: the direct-threaded step array
-/// [`crate::prepare::PreparedProgram`] runs when the JIT tier is
-/// selected. Built at most once per prepared program and shared across
-/// runs (steps are immutable; the slot caches are atomics, and all
+/// A compiled program: the direct-threaded step array every
+/// [`crate::prepare::PreparedProgram`] run executes. Built at most once
+/// per prepared program and shared across runs (steps are immutable; the slot caches are atomics, and all
 /// other per-run state lives in the [`Runner`]).
 pub struct JitProgram {
     steps: Box<[JStep]>,
@@ -383,7 +386,7 @@ impl Consts {
 
     /// Resolves `base + off` as a compile-time in-bounds frame window of
     /// `n` bytes. `None` means "not provably a pure frame access" — the
-    /// slot then compiles to a generic step with the interpreter's exact
+    /// slot then compiles to a generic step with [`Runner`]'s exact
     /// runtime checks.
     fn stack_win(&self, base: Option<u64>, off: u64, n: usize) -> Option<u16> {
         let addr = base?.wrapping_add(off);
@@ -744,8 +747,8 @@ struct MemRef {
 
 /// One load (or `Load2` half): a pure frame micro-op when the address
 /// resolves to the frame, a region-tracked map-value step when it
-/// resolves to a registered region, else a generic step with the
-/// interpreter's runtime checks.
+/// resolves to a registered region, else a generic step with
+/// [`Runner`]'s runtime checks.
 fn emit_load(cc: &mut Cc<'_>, slot: &mut u32, pc: u32, w: u64, m: MemRef, dst: u8) {
     let MemRef { size, base, off } = m;
     let nb = size.bytes();
@@ -1088,7 +1091,7 @@ pub(crate) fn compile(p: &PreparedProgram) -> JitProgram {
             } => {
                 // The fused slot's weight covers both halves; the second
                 // half charges 0 and faults at `pc + 1`, exactly like the
-                // prepared arm.
+                // unfused pair.
                 let mut slot = 0u32;
                 let m1 = MemRef { size: s1, base: b1, off: o1 };
                 emit_load(&mut cc, &mut slot, pc as u32, w, m1, d1);
@@ -1333,7 +1336,7 @@ const CACHE_GEN_MASK: u64 = (1 << 39) - 1;
 /// racing the same inserts/deletes could have returned — a stale-by-one
 /// generation read linearizes the lookup just before the layout change,
 /// and the map's bytes-stable-until-reuse discipline covers the value
-/// accesses that follow, same as for the uncached tiers.
+/// accesses that follow, same as for an uncached lookup.
 #[inline(always)]
 fn cached_lookup(map: &Map, cache: &AtomicU64, key: &[u8], env: &dyn PolicyEnv) -> Option<u32> {
     // `cpu_id` is a pure environment read, so it is only queried when a
@@ -1369,9 +1372,9 @@ fn run_fast_lookup(m: &mut Runner<'_>, jit: &JitProgram, f: &FastLookup) -> u64 
     }
 }
 
-/// Runs a compiled program. Observationally identical to
-/// [`PreparedProgram::run`]'s interpreter at every budget and with every
-/// injector plan: same reports, side effects, faults and fault order.
+/// Runs a compiled program. Observationally identical to the legacy
+/// interpreter on the source program at every budget: same reports,
+/// side effects and faults.
 pub(crate) fn run(
     p: &PreparedProgram,
     jit: &JitProgram,
@@ -1392,8 +1395,8 @@ pub(crate) fn run(
     loop {
         // SAFETY: `compile` patches every jump target to a valid step
         // index and the final step is `Halt` (which returns), so `si`
-        // never leaves the array — the same contract the prepared loop
-        // holds for `pc`.
+        // never leaves the array (`prepare` validates every jump target
+        // into `[0, len]`, with the `Halt` sentinel at `len`).
         debug_assert!(si < steps.len());
         let step = unsafe { steps.get_unchecked(si) };
         if step.weight > budget - executed {
@@ -1696,8 +1699,8 @@ pub(crate) fn run(
                 });
             }
             // Terminal faulting steps: the group charge already ran
-            // (budget exhaustion wins, as at the interpreter's loop
-            // top), so just fault.
+            // (budget exhaustion wins, as at the legacy interpreter's
+            // loop top), so just fault.
             &JOp::Trap { pc, kind } => {
                 return Err(kind.to_error(pc as usize));
             }

@@ -1,4 +1,4 @@
-//! An eBPF-analog policy engine: ISA, assembler, verifier, interpreter,
+//! An eBPF-analog policy engine: ISA, assembler, verifier, runtime,
 //! maps, helpers and an object store.
 //!
 //! The Concord framework of *Contextual Concurrency Control* (HotOS '21)
@@ -16,8 +16,13 @@
 //!   edges), typed registers, in-bounds and initialized memory access,
 //!   helper signature checking, per-field context access control so a
 //!   policy can never corrupt lock state it was not granted;
-//! * [`interp`] — the runtime, with an instruction budget as a second
-//!   guard and eBPF division semantics;
+//! * [`prepare`], [`opt`] and [`jit`] — the runtime: a verifier-trusted
+//!   lowering, prepare-time optimizer passes, and the direct-threaded
+//!   compiled form every [`PreparedProgram`] run executes, with an
+//!   instruction budget as a second guard and eBPF division semantics;
+//! * [`interp`] — the legacy reference interpreter over the raw program,
+//!   kept as the differential oracle for the runtime;
+//! * [`fault`] — deterministic fault injection into runs;
 //! * [`map`] — array / hash / per-CPU-array maps shared between userspace
 //!   and policies;
 //! * [`helpers`] — the helper registry (`cpu_id`, `numa_id`, `ktime_ns`,
@@ -34,7 +39,6 @@
 //! use cbpf::asm::assemble;
 //! use cbpf::ctx::CtxLayout;
 //! use cbpf::helpers::FixedEnv;
-//! use cbpf::interp::run_program;
 //! use cbpf::verifier::verify;
 //!
 //! let prog = assemble(
@@ -47,7 +51,7 @@
 //! let layout = CtxLayout::empty();
 //! verify(&prog, &layout).unwrap();
 //! let env = FixedEnv::new().cpu(7);
-//! let ret = run_program(&prog, &mut [], &layout, &env).unwrap();
+//! let ret = prog.prepare(&layout).run_program(&mut [], &env).unwrap();
 //! assert_eq!(ret, 7);
 //! ```
 
@@ -75,13 +79,10 @@ pub use fault::{FaultInjector, FaultPlan};
 pub use helpers::{FixedEnv, HelperId, PolicyEnv};
 pub use error::MapError;
 pub use insn::{AluOp, Insn, JmpOp, MemSize, Operand, Reg};
-pub use interp::run_program;
 pub use jit::JitProgram;
 pub use map::{Map, MapDef, MapKind, MAX_MAP_ENTRIES};
 pub use opt::OptConfig;
-pub use prepare::{
-    default_jit_threshold, ExecTier, JitMode, PreparedProgram, DEFAULT_JIT_THRESHOLD,
-};
+pub use prepare::PreparedProgram;
 pub use program::{Program, ProgramBuilder};
 pub use store::{ObjectStore, VerifiedProgram};
 pub use error::WireError;

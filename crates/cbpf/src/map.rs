@@ -443,7 +443,7 @@ impl Map {
     /// a caller holding a `(generation, key, slot)` triple may reuse the
     /// slot without re-probing while the generation still matches —
     /// with the same bytes-stable-until-reuse guarantee a racing
-    /// [`Map::lookup_slot`] would have. The compiled policy tier uses
+    /// [`Map::lookup_slot`] would have. The jit (`crate::jit`) uses
     /// this to cache constant-key lookups.
     pub fn probe_generation(&self) -> Option<u64> {
         match &self.inner {
@@ -475,7 +475,7 @@ impl Map {
     }
 
     /// Direct handle to slab word `idx` (`slot * stride + off / 8`), for
-    /// the compiled tier's single-word read-modify-write path: one
+    /// the jit's single-word read-modify-write path: one
     /// bounds check covers both the load and the store of an aligned
     /// 8-byte access. Same relaxed-word contract as
     /// [`Map::value_load`]/[`Map::value_store`].
@@ -484,7 +484,7 @@ impl Map {
         self.values().words.get(idx)
     }
 
-    /// Words per value in the slab — the compiled tier bakes this into
+    /// Words per value in the slab — the jit bakes this into
     /// its word-index arithmetic.
     pub(crate) fn value_stride(&self) -> usize {
         self.values().stride

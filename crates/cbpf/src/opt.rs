@@ -17,8 +17,8 @@
 //!    bytes no instruction can read are dropped. The read-set is a global
 //!    over-approximation — if any load or helper buffer argument has an
 //!    unknown base, *all* store elimination is abandoned.
-//! 3. **Superinstruction fusion**: adjacent pairs that the interpreter
-//!    can retire under a single dispatch — ALU/ALU, load/load, and the
+//! 3. **Superinstruction fusion**: adjacent pairs that can retire under
+//!    a single dispatch — ALU/ALU, load/load, and the
 //!    hot `map_lookup` + null-branch idiom — fuse into the wide opcodes
 //!    [`PInsn::Alu2`], [`PInsn::Load2`] and [`PInsn::CallMapLookupBr`].
 //!    A pair only fuses when its second slot is not a jump target.
@@ -26,14 +26,14 @@
 //! Every replacement preserves the executed-instruction count through the
 //! weight table: folded and eliminated instructions still charge 1 (they
 //! stand where an instruction stood), a fused slot charges 2 and its dead
-//! second slot 0. Together with the budget pre-charge in the run loop
+//! second slot 0. Together with the budget pre-charge at every jit step
 //! this makes the optimized program observationally identical to the
 //! unoptimized one — same results, same side effects, same faults, same
 //! `RunReport::insns` — at **every** budget, for every program the
 //! verifier accepts. (Like the rest of the prepared form, the passes
 //! trust the verifier: programs it would reject may observe differences,
 //! e.g. reads of helper-clobbered registers fold to the zeros the
-//! prepared interpreter defines them to.)
+//! runtime defines them to.)
 
 use std::sync::Arc;
 
@@ -194,7 +194,7 @@ impl Lattice {
             | PInsn::CallMap { .. }
             | PInsn::CallMapLookupBr { .. } => {
                 // Helpers return scalars or map-value pointers (never
-                // stack) and the prepared interpreter zeroes r1–r5.
+                // stack) and every helper call zeroes r1–r5.
                 self.set(0, Val::NonStack);
                 for r in 1..=5 {
                     self.set(r, Val::Const(0));

@@ -1,6 +1,5 @@
-//! The prepared execution form: a one-time, verifier-trusted lowering of a
-//! [`Program`] that the fast interpreter loop runs without per-step
-//! re-decoding.
+//! The prepared form: a one-time, verifier-trusted lowering of a
+//! [`Program`] that the [`crate::jit`] compiles from and runs against.
 //!
 //! [`Program::prepare`] resolves everything that is constant across runs:
 //!
@@ -14,12 +13,15 @@
 //! * context-field permissions are baked into an O(1) offset-indexed
 //!   table instead of the per-access linear field scan.
 //!
-//! The prepared loop then drops the dynamic plumbing the verifier already
+//! Execution then drops the dynamic plumbing the verifier already
 //! guarantees is unnecessary: no register/stack initialization tracking,
 //! no alignment re-checks, no `Option` chasing on map ids. What it keeps,
 //! bit-for-bit, are the semantics that define results: the instruction
 //! budget, eBPF division/modulo-by-zero rules, tagged-pointer dispatch,
-//! bounds checks (as clean faults), and helper clobbering.
+//! bounds checks (as clean faults), and helper clobbering. The per-run
+//! machine state and its memory/helper operations live here in
+//! [`Runner`]; [`PreparedProgram::run`] compiles the jit form on first
+//! use and executes it on every run.
 //!
 //! Faults can therefore still occur (e.g. budget exhaustion) and carry the
 //! same [`RunError`] values the legacy interpreter produces. Lowering
@@ -33,7 +35,6 @@
 //! difference, which is exactly the trust contract: prepare after
 //! verification.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use crate::ctx::{CtxLayout, FieldAccess};
@@ -41,7 +42,7 @@ use crate::error::RunError;
 use crate::fault::FaultInjector;
 use crate::helpers::{mapops, HelperId, PolicyEnv};
 use crate::insn::{AluOp, Insn, JmpOp, MemSize, Operand, Reg, STACK_SIZE};
-use crate::interp::{fold32, fold64, RunReport, DEFAULT_BUDGET};
+use crate::interp::{RunReport, DEFAULT_BUDGET};
 use crate::map::Map;
 use crate::opt::OptConfig;
 use crate::program::Program;
@@ -230,59 +231,6 @@ fn env_sched_hint(env: &dyn PolicyEnv, code: u64) -> u64 {
     env.sched_hint(code)
 }
 
-/// When [`PreparedProgram::run`] hands execution to the compiled
-/// ([`crate::jit`]) tier instead of the prepared interpreter.
-///
-/// The two tiers are observationally identical — same [`RunReport`]
-/// (including the executed-instruction count), same context and map side
-/// effects, same faults at every budget — so tier selection is purely a
-/// performance decision and never changes results.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum JitMode {
-    /// Never compile; every run uses the prepared interpreter.
-    Off,
-    /// Compile (once) after this many invocations; runs before the
-    /// threshold use the interpreter. `Threshold(0)` compiles on first
-    /// use.
-    Threshold(u64),
-    /// Compile on the first run.
-    Eager,
-}
-
-impl Default for JitMode {
-    /// [`JitMode::Threshold`] at [`default_jit_threshold`].
-    fn default() -> Self {
-        JitMode::Threshold(default_jit_threshold())
-    }
-}
-
-/// Invocations before the auto tier compiles, when `C3_JIT_THRESHOLD` is
-/// unset.
-pub const DEFAULT_JIT_THRESHOLD: u64 = 64;
-
-/// The hot-invocation threshold for [`JitMode::default`]: the value of
-/// `C3_JIT_THRESHOLD` (read once per process), else
-/// [`DEFAULT_JIT_THRESHOLD`].
-pub fn default_jit_threshold() -> u64 {
-    static THRESHOLD: OnceLock<u64> = OnceLock::new();
-    *THRESHOLD.get_or_init(|| {
-        std::env::var("C3_JIT_THRESHOLD")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(DEFAULT_JIT_THRESHOLD)
-    })
-}
-
-/// Pins one execution engine, bypassing [`JitMode`] selection — for
-/// differential tests and benchmarks that compare the tiers.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ExecTier {
-    /// The prepared interpreter loop.
-    Interp,
-    /// The compiled tier (compiling it on first use if needed).
-    Jit,
-}
-
 /// O(1) context access control: per byte offset, a bitmask of permitted
 /// access widths (bit k ⇔ width `1 << k`), reads and writes separately.
 /// Replaces the legacy per-access linear scan over the field list.
@@ -328,12 +276,7 @@ pub struct PreparedProgram {
     pub(crate) weights: Box<[u32]>,
     pub(crate) maps: Box<[Arc<Map>]>,
     pub(crate) perm: CtxPerm,
-    /// Tier policy for [`PreparedProgram::run`].
-    jit_mode: JitMode,
-    /// Interpreter invocations so far, for [`JitMode::Threshold`]. Stops
-    /// advancing once the compiled tier is built.
-    invocations: AtomicU64,
-    /// The compiled tier, built at most once per prepared program.
+    /// The compiled form every run executes, built on the first run.
     jit: OnceLock<crate::jit::JitProgram>,
 }
 
@@ -350,8 +293,8 @@ impl std::fmt::Debug for PreparedProgram {
 impl Program {
     /// Lowers the program to its prepared execution form against `layout`.
     ///
-    /// Call after verification: the prepared interpreter trusts the
-    /// verifier's guarantees (initialization, alignment, jump shape) and
+    /// Call after verification: execution trusts the verifier's
+    /// guarantees (initialization, alignment, jump shape) and
     /// does not re-check them per step. Lowering is total — statically
     /// invalid instructions become traps that fault if ever reached (the
     /// verifier only accepts them in unreachable code).
@@ -367,19 +310,6 @@ impl Program {
     /// optimizer passes ([`OptConfig::none`] disables them all, which is
     /// what differential tests compare against).
     pub fn prepare_with(&self, layout: &CtxLayout, opt: OptConfig) -> PreparedProgram {
-        self.prepare_with_jit(layout, opt, JitMode::default())
-    }
-
-    /// Like [`Program::prepare_with`], with an explicit tier-selection
-    /// override: [`JitMode::Off`] pins the prepared interpreter,
-    /// [`JitMode::Eager`] compiles on first run, and
-    /// [`JitMode::Threshold`] tunes the hot-invocation crossover.
-    pub fn prepare_with_jit(
-        &self,
-        layout: &CtxLayout,
-        opt: OptConfig,
-        jit_mode: JitMode,
-    ) -> PreparedProgram {
         let insns = self.insns();
         let len = insns.len();
         let mut code = Vec::with_capacity(len + 1);
@@ -532,8 +462,6 @@ impl Program {
             weights: weights.into_boxed_slice(),
             maps: self.maps().to_vec().into_boxed_slice(),
             perm: CtxPerm::build(layout),
-            jit_mode,
-            invocations: AtomicU64::new(0),
             jit: OnceLock::new(),
         }
     }
@@ -587,9 +515,9 @@ impl Regions {
     }
 }
 
-/// Per-run machine state, shared between the prepared interpreter loop
-/// and the [`crate::jit`] tier (which reuses the memory/helper methods so
-/// the two tiers cannot drift in fault semantics).
+/// Per-run machine state of the [`crate::jit`]: registers, frame, context
+/// and the memory/helper operations whose faults mirror the legacy
+/// interpreter's.
 pub(crate) struct Runner<'a> {
     pub(crate) regs: [u64; 11],
     pub(crate) stack: [u8; STACK_SIZE],
@@ -797,9 +725,10 @@ impl PreparedProgram {
         self.run(ctx, env, DEFAULT_BUDGET).map(|r| r.ret)
     }
 
-    /// Runs the prepared form, producing the same [`RunReport`] (value and
+    /// Runs the program, producing the same [`RunReport`] (value and
     /// executed-instruction count) the legacy interpreter reports for the
-    /// source program.
+    /// source program. The first run compiles the [`crate::jit`] form;
+    /// every run executes it.
     ///
     /// # Errors
     ///
@@ -812,16 +741,14 @@ impl PreparedProgram {
         env: &dyn PolicyEnv,
         budget: u64,
     ) -> Result<RunReport, RunError> {
-        self.run_inner(ctx, env, budget, None)
+        self.run_with_faults(ctx, env, budget, None)
     }
 
     /// Like [`PreparedProgram::run`], but consults a deterministic
     /// [`FaultInjector`] before the first instruction (invocation-trigger
     /// faults) and at every helper call site (per-helper rate faults).
     ///
-    /// With `injector` `None` this is exactly `run`; the plain entry
-    /// point never pays for injection, so differential tests against the
-    /// legacy interpreter keep their meaning.
+    /// With `injector` `None` this is exactly `run`.
     ///
     /// # Errors
     ///
@@ -834,336 +761,21 @@ impl PreparedProgram {
         budget: u64,
         injector: Option<&FaultInjector>,
     ) -> Result<RunReport, RunError> {
-        self.run_inner(ctx, env, budget, injector)
+        let jit = self.jit.get_or_init(|| crate::jit::compile(self));
+        crate::jit::run(self, jit, ctx, env, budget, injector)
     }
 
-    /// Runs a pinned tier regardless of [`JitMode`], with the default
-    /// fault plumbing disabled — for tier-differential tests and benches.
-    ///
-    /// # Errors
-    ///
-    /// See [`PreparedProgram::run`]; the tiers produce identical faults.
-    pub fn run_tier(
-        &self,
-        tier: ExecTier,
-        ctx: &mut [u8],
-        env: &dyn PolicyEnv,
-        budget: u64,
-    ) -> Result<RunReport, RunError> {
-        self.run_tier_with_faults(tier, ctx, env, budget, None)
-    }
-
-    /// [`PreparedProgram::run_tier`] with a [`FaultInjector`], consulted
-    /// at exactly the same points in both tiers.
-    ///
-    /// # Errors
-    ///
-    /// See [`PreparedProgram::run_with_faults`].
-    pub fn run_tier_with_faults(
-        &self,
-        tier: ExecTier,
-        ctx: &mut [u8],
-        env: &dyn PolicyEnv,
-        budget: u64,
-        injector: Option<&FaultInjector>,
-    ) -> Result<RunReport, RunError> {
-        match tier {
-            ExecTier::Interp => self.run_interp(ctx, env, budget, injector),
-            ExecTier::Jit => {
-                let jit = self.jit.get_or_init(|| crate::jit::compile(self));
-                crate::jit::run(self, jit, ctx, env, budget, injector)
-            }
-        }
-    }
-
-    /// Compiles the [`crate::jit`] tier for this program, outside the
-    /// cached auto-selection path — lets benchmarks measure the one-time
-    /// compile cost repeatably.
+    /// Compiles the [`crate::jit`] form afresh, bypassing the cached
+    /// copy the runs use — lets benchmarks measure the one-time compile
+    /// cost repeatably.
     pub fn compile_jit(&self) -> crate::jit::JitProgram {
         crate::jit::compile(self)
     }
 
-    /// Whether the compiled tier has been built (by auto selection or a
-    /// pinned [`ExecTier::Jit`] run).
+    /// Whether the cached [`crate::jit`] form has been built (it is, from
+    /// the first run on).
     pub fn jit_compiled(&self) -> bool {
         self.jit.get().is_some()
-    }
-
-    /// Tier selection for the auto entry points: the compiled tier once
-    /// it exists or [`JitMode`] says to build it, the interpreter before
-    /// that.
-    #[inline]
-    fn use_jit(&self) -> bool {
-        match self.jit_mode {
-            JitMode::Off => false,
-            JitMode::Eager => true,
-            JitMode::Threshold(t) => {
-                self.jit.get().is_some()
-                    || self.invocations.fetch_add(1, Ordering::Relaxed) + 1 >= t
-            }
-        }
-    }
-
-    fn run_inner(
-        &self,
-        ctx: &mut [u8],
-        env: &dyn PolicyEnv,
-        budget: u64,
-        injector: Option<&FaultInjector>,
-    ) -> Result<RunReport, RunError> {
-        if self.use_jit() {
-            let jit = self.jit.get_or_init(|| crate::jit::compile(self));
-            return crate::jit::run(self, jit, ctx, env, budget, injector);
-        }
-        self.run_interp(ctx, env, budget, injector)
-    }
-
-    fn run_interp(
-        &self,
-        ctx: &mut [u8],
-        env: &dyn PolicyEnv,
-        budget: u64,
-        injector: Option<&FaultInjector>,
-    ) -> Result<RunReport, RunError> {
-        if let Some(inj) = injector {
-            if let Some(fault) = inj.invocation_fault() {
-                return Err(fault);
-            }
-        }
-        let mut m = Runner::new(ctx, env, &self.maps, &self.perm);
-        let code = &self.code;
-        let weights = &self.weights;
-        debug_assert_eq!(code.len(), weights.len());
-        let mut pc: usize = 0;
-        let mut executed: u64 = 0;
-        loop {
-            // Weighted budget charge: a fused slot pays for its whole
-            // source pair before executing (its first half has no
-            // observable effect, so failing early is indistinguishable
-            // from the legacy fail-between-halves), keeping budget
-            // semantics and instruction counts exact at every budget.
-            // The invariant `executed <= budget` makes the subtraction
-            // safe.
-            //
-            // SAFETY: `prepare` validates every jump target into
-            // `[0, len]` and appends the `Halt` sentinel at index `len`
-            // (which returns), so `pc` never leaves either slice
-            // (`weights` is built parallel to `code`).
-            debug_assert!(pc < code.len());
-            let w = u64::from(*unsafe { weights.get_unchecked(pc) });
-            if w > budget - executed {
-                return Err(RunError::BudgetExhausted);
-            }
-            executed += w;
-            match *unsafe { code.get_unchecked(pc) } {
-                PInsn::Alu64 { op, dst, src } => {
-                    let rhs = m.src(src);
-                    m.set_reg(dst, fold64(op, m.reg(dst), rhs));
-                }
-                PInsn::Alu32 { op, dst, src } => {
-                    let rhs = m.src(src);
-                    m.set_reg(dst, u64::from(fold32(op, m.reg(dst) as u32, rhs as u32)));
-                }
-                PInsn::Mov64R { dst, src } => {
-                    let v = m.reg(src);
-                    m.set_reg(dst, v);
-                }
-                PInsn::Mov32R { dst, src } => {
-                    let v = u64::from(m.reg(src) as u32);
-                    m.set_reg(dst, v);
-                }
-                PInsn::LdImm64 { dst, imm } => m.set_reg(dst, imm),
-                PInsn::LdMapRef { dst, map_id } => {
-                    m.set_reg(dst, ptr(TAG_MAPREF, u64::from(map_id), 0));
-                }
-                PInsn::Load {
-                    size,
-                    dst,
-                    base,
-                    off,
-                } => {
-                    let addr = m.reg(base).wrapping_add(off);
-                    let v = m.load(pc, addr, size)?;
-                    m.set_reg(dst, v);
-                }
-                PInsn::Store {
-                    size,
-                    base,
-                    off,
-                    src,
-                } => {
-                    let addr = m.reg(base).wrapping_add(off);
-                    let v = m.src(src);
-                    m.store(pc, addr, size, v)?;
-                }
-                PInsn::Ja { target } => {
-                    pc = target as usize;
-                    continue;
-                }
-                PInsn::Jmp {
-                    op,
-                    dst,
-                    src,
-                    target,
-                } => {
-                    let r = m.src(src);
-                    if op.eval(m.reg(dst), r) {
-                        pc = target as usize;
-                        continue;
-                    }
-                }
-                PInsn::CallEnv0 { f } => {
-                    if let Some(inj) = injector {
-                        if let Some(fault) = inj.helper_fault(pc, 0) {
-                            return Err(fault);
-                        }
-                    }
-                    let ret = f(m.env);
-                    m.regs[1..6].fill(0);
-                    m.regs[0] = ret;
-                }
-                PInsn::CallEnv1 { f } => {
-                    if let Some(inj) = injector {
-                        if let Some(fault) = inj.helper_fault(pc, 0) {
-                            return Err(fault);
-                        }
-                    }
-                    let ret = f(m.env, m.regs[1]);
-                    m.regs[1..6].fill(0);
-                    m.regs[0] = ret;
-                }
-                PInsn::CallTrace { helper } => {
-                    if let Some(inj) = injector {
-                        if let Some(fault) = inj.helper_fault(pc, helper) {
-                            return Err(fault);
-                        }
-                    }
-                    let len = m.regs[2] as usize;
-                    if helper == HelperId::TraceEmit as u32 {
-                        // Weight already charged at the loop top; only the
-                        // bounds check and the emit itself live here.
-                        if !(1..=crate::helpers::TRACE_EMIT_MAX_PAYLOAD).contains(&len) {
-                            return Err(RunError::HelperFault {
-                                pc,
-                                helper,
-                                msg: "trace_emit payload length out of bounds",
-                            });
-                        }
-                        let bytes = m.stack_bytes(pc, m.regs[1], len)?;
-                        m.env.trace_emit(bytes);
-                        m.regs[1..6].fill(0);
-                        m.regs[0] = 0;
-                    } else {
-                        if len > STACK_SIZE {
-                            return Err(RunError::HelperFault {
-                                pc,
-                                helper,
-                                msg: "trace length too large",
-                            });
-                        }
-                        let bytes = m.stack_bytes(pc, m.regs[1], len)?;
-                        m.env.trace(bytes);
-                        m.regs[1..6].fill(0);
-                        m.regs[0] = len as u64;
-                    }
-                }
-                PInsn::CallMap { op, helper } => {
-                    if let Some(inj) = injector {
-                        if let Some(fault) = inj.helper_fault(pc, helper) {
-                            return Err(fault);
-                        }
-                    }
-                    let ret = m.call_map(pc, op, helper)?;
-                    m.regs[1..6].fill(0);
-                    m.regs[0] = ret;
-                }
-                PInsn::Exit => {
-                    return Ok(RunReport {
-                        ret: m.regs[0],
-                        insns: executed,
-                    });
-                }
-                PInsn::Trap { kind } => {
-                    return Err(kind.to_error(pc));
-                }
-                PInsn::Halt => {
-                    return Err(RunError::PcOutOfBounds { pc: pc as i64 });
-                }
-                PInsn::Nop => {}
-                PInsn::Alu2 {
-                    w1,
-                    op1,
-                    dst1,
-                    src1,
-                    w2,
-                    op2,
-                    dst2,
-                    src2,
-                } => {
-                    // Strictly sequential: the second half reads whatever
-                    // the first half wrote, exactly like the unfused pair.
-                    let rhs = m.src(src1);
-                    let v = if w1 {
-                        fold64(op1, m.reg(dst1), rhs)
-                    } else {
-                        u64::from(fold32(op1, m.reg(dst1) as u32, rhs as u32))
-                    };
-                    m.set_reg(dst1, v);
-                    let rhs = m.src(src2);
-                    let v = if w2 {
-                        fold64(op2, m.reg(dst2), rhs)
-                    } else {
-                        u64::from(fold32(op2, m.reg(dst2) as u32, rhs as u32))
-                    };
-                    m.set_reg(dst2, v);
-                    pc += 2;
-                    continue;
-                }
-                PInsn::Load2 {
-                    s1,
-                    d1,
-                    b1,
-                    o1,
-                    s2,
-                    d2,
-                    b2,
-                    o2,
-                } => {
-                    let addr = m.reg(b1).wrapping_add(o1);
-                    let v = m.load(pc, addr, s1)?;
-                    m.set_reg(d1, v);
-                    let addr = m.reg(b2).wrapping_add(o2);
-                    let v = m.load(pc + 1, addr, s2)?;
-                    m.set_reg(d2, v);
-                    pc += 2;
-                    continue;
-                }
-                PInsn::CallMapLookupBr {
-                    helper,
-                    jop,
-                    jdst,
-                    jsrc,
-                    target,
-                } => {
-                    if let Some(inj) = injector {
-                        if let Some(fault) = inj.helper_fault(pc, helper) {
-                            return Err(fault);
-                        }
-                    }
-                    let ret = m.call_map(pc, MapOp::Lookup, helper)?;
-                    m.regs[1..6].fill(0);
-                    m.regs[0] = ret;
-                    let rhs = m.src(jsrc);
-                    if jop.eval(m.reg(jdst), rhs) {
-                        pc = target as usize;
-                    } else {
-                        pc += 2;
-                    }
-                    continue;
-                }
-            }
-            pc += 1;
-        }
     }
 }
 

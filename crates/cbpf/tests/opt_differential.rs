@@ -6,8 +6,9 @@
 //! unoptimized prepared form and the legacy interpreter — same return
 //! value, same executed-instruction count, same context and map side
 //! effects, same faults — at every budget. Each property here runs the
-//! three engines (plus each optimizer pass in isolation) on the same
-//! inputs and demands bit-equality.
+//! legacy interpreter and prepared programs (which execute the compiled
+//! form, under the default optimizer, `OptConfig::none()` and each pass
+//! in isolation) on the same inputs and demands bit-equality.
 //!
 //! The map engine contract: the lock-free sharded hash map is
 //! linearizable to a plain `HashMap` model under the same capacity
@@ -19,7 +20,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use cbpf::ctx::{CtxLayout, FieldAccess};
-use cbpf::error::{FaultKind, MapError};
+use cbpf::error::{FaultKind, MapError, RunError};
 use cbpf::fault::{FaultInjector, FaultPlan};
 use cbpf::helpers::{FixedEnv, HelperId};
 use cbpf::insn::{AluOp, Insn, JmpOp, MemSize, Operand, Reg};
@@ -28,7 +29,6 @@ use cbpf::map::{Map, MapDef, MapKind};
 use cbpf::opt::OptConfig;
 use cbpf::program::Program;
 use cbpf::verifier::verify;
-use cbpf::ExecTier;
 
 const BUDGET: u64 = 1 << 16;
 
@@ -210,6 +210,22 @@ fn seeded_map() -> Arc<Map> {
     map
 }
 
+/// `body` wrapped in a prologue that looks up `key` in `map` (map id 0)
+/// and an epilogue returning 0.
+fn map_program(name: &str, body: &[Insn], key: i32, map: Arc<Map>) -> Program {
+    let mut insns = vec![
+        Insn::LdMapRef { dst: Reg::R1, map_id: 0 },
+        Insn::Store { size: MemSize::W, base: Reg::R10, off: -4, src: Operand::Imm(key) },
+        Insn::Alu { wide: true, op: AluOp::Mov, dst: Reg::R2, src: Operand::Reg(Reg::R10) },
+        Insn::Alu { wide: true, op: AluOp::Add, dst: Reg::R2, src: Operand::Imm(-4) },
+        Insn::Call { helper: HelperId::MapLookup as u32 },
+    ];
+    insns.extend(body.iter().cloned());
+    insns.push(Insn::Alu { wide: true, op: AluOp::Mov, dst: Reg::R0, src: Operand::Imm(0) });
+    insns.push(Insn::Exit);
+    Program::new(name, insns, vec![map])
+}
+
 fn map_snapshot(map: &Map) -> Vec<(Vec<u8>, Vec<u8>)> {
     let mut entries: Vec<_> = map
         .keys()
@@ -265,21 +281,8 @@ proptest! {
         body in proptest::collection::vec(insn_strategy(), 1..16),
         key in 0i32..4,
     ) {
-        let build = |map: Arc<Map>| {
-            let mut insns = vec![
-                Insn::LdMapRef { dst: Reg::R1, map_id: 0 },
-                Insn::Store { size: MemSize::W, base: Reg::R10, off: -4, src: Operand::Imm(key) },
-                Insn::Alu { wide: true, op: AluOp::Mov, dst: Reg::R2, src: Operand::Reg(Reg::R10) },
-                Insn::Alu { wide: true, op: AluOp::Add, dst: Reg::R2, src: Operand::Imm(-4) },
-                Insn::Call { helper: HelperId::MapLookup as u32 },
-            ];
-            insns.extend(body.iter().cloned());
-            insns.push(Insn::Alu { wide: true, op: AluOp::Mov, dst: Reg::R0, src: Operand::Imm(0) });
-            insns.push(Insn::Exit);
-            Program::new("fuzzmap", insns, vec![map])
-        };
         let map_legacy = seeded_map();
-        let prog_legacy = build(Arc::clone(&map_legacy));
+        let prog_legacy = map_program("fuzzmap", &body, key, Arc::clone(&map_legacy));
         if verify(&prog_legacy, &CtxLayout::empty()).is_ok() {
             let env_legacy = FixedEnv::new();
             let legacy =
@@ -288,7 +291,7 @@ proptest! {
 
             let map_unopt = seeded_map();
             let env_unopt = FixedEnv::new();
-            let unopt = build(Arc::clone(&map_unopt))
+            let unopt = map_program("fuzzmap", &body, key, Arc::clone(&map_unopt))
                 .prepare_with(&CtxLayout::empty(), OptConfig::none())
                 .run(&mut [], &env_unopt, BUDGET);
             prop_assert_eq!(&legacy, &unopt, "reports diverge");
@@ -298,7 +301,7 @@ proptest! {
             for cfg in configs() {
                 let map_opt = seeded_map();
                 let env_opt = FixedEnv::new();
-                let opt = build(Arc::clone(&map_opt))
+                let opt = map_program("fuzzmap", &body, key, Arc::clone(&map_opt))
                     .prepare_with(&CtxLayout::empty(), cfg)
                     .run(&mut [], &env_opt, BUDGET);
                 prop_assert_eq!(&unopt, &opt, "optimizer {:?} changed the report", cfg);
@@ -335,10 +338,10 @@ proptest! {
         }
     }
 
-    /// The compiled tier ([`cbpf::jit`]) is observationally identical to
-    /// the prepared interpreter on arbitrary verified programs: same
-    /// report (value and executed-instruction count), same fault, same
-    /// context mutations, at full budget.
+    /// Every run executes the compiled form ([`cbpf::jit`]), which is
+    /// observationally identical to the legacy interpreter on arbitrary
+    /// verified programs: same report (value and executed-instruction
+    /// count), same fault, same context mutations, at full budget.
     #[test]
     fn jit_matches_interp_report_and_ctx(
         prog in program_strategy(),
@@ -351,64 +354,50 @@ proptest! {
         let layout = test_layout();
         if verify(&prog, &layout).is_ok() {
             let env = FixedEnv::new().cpu(cpu).numa(numa).time(time).with_pid(pid);
+            let mut ctx_legacy = fill_ctx(&layout, ctx_seed);
+            let legacy = run_with_budget(&prog, &mut ctx_legacy, &layout, &env, BUDGET);
             let prepared = prog.prepare(&layout);
-            let mut ctx_interp = fill_ctx(&layout, ctx_seed);
-            let interp = prepared.run_tier(ExecTier::Interp, &mut ctx_interp, &env, BUDGET);
             let mut ctx_jit = fill_ctx(&layout, ctx_seed);
-            let jit = prepared.run_tier(ExecTier::Jit, &mut ctx_jit, &env, BUDGET);
-            prop_assert_eq!(&interp, &jit, "jit report diverges from interpreter");
-            prop_assert_eq!(&ctx_interp, &ctx_jit, "jit context effects diverge");
+            let jit = prepared.run(&mut ctx_jit, &env, BUDGET);
+            prop_assert!(prepared.jit_compiled(), "run did not execute the compiled form");
+            prop_assert_eq!(&legacy, &jit, "jit report diverges from legacy");
+            prop_assert_eq!(&ctx_legacy, &ctx_jit, "jit context effects diverge");
         }
     }
 
-    /// Map programs on the compiled tier: identical final map contents
-    /// and env traces. Exercises the jit's region-tracked value access,
-    /// constant-key lookup caching and RMW fusion against the
-    /// interpreter's generic paths.
+    /// Map programs: identical final map contents and env traces.
+    /// Exercises the jit's region-tracked value access, constant-key
+    /// lookup caching and RMW fusion against the legacy generic paths.
     #[test]
     fn jit_preserves_map_side_effects(
         body in proptest::collection::vec(insn_strategy(), 1..16),
         key in 0i32..4,
     ) {
-        let build = |map: Arc<Map>| {
-            let mut insns = vec![
-                Insn::LdMapRef { dst: Reg::R1, map_id: 0 },
-                Insn::Store { size: MemSize::W, base: Reg::R10, off: -4, src: Operand::Imm(key) },
-                Insn::Alu { wide: true, op: AluOp::Mov, dst: Reg::R2, src: Operand::Reg(Reg::R10) },
-                Insn::Alu { wide: true, op: AluOp::Add, dst: Reg::R2, src: Operand::Imm(-4) },
-                Insn::Call { helper: HelperId::MapLookup as u32 },
-            ];
-            insns.extend(body.iter().cloned());
-            insns.push(Insn::Alu { wide: true, op: AluOp::Mov, dst: Reg::R0, src: Operand::Imm(0) });
-            insns.push(Insn::Exit);
-            Program::new("fuzzjit", insns, vec![map])
-        };
-        let map_interp = seeded_map();
-        let prog_interp = build(Arc::clone(&map_interp));
-        if verify(&prog_interp, &CtxLayout::empty()).is_ok() {
-            let env_interp = FixedEnv::new();
-            let interp = prog_interp
-                .prepare(&CtxLayout::empty())
-                .run_tier(ExecTier::Interp, &mut [], &env_interp, BUDGET);
+        let map_legacy = seeded_map();
+        let prog_legacy = map_program("fuzzjit", &body, key, Arc::clone(&map_legacy));
+        if verify(&prog_legacy, &CtxLayout::empty()).is_ok() {
+            let env_legacy = FixedEnv::new();
+            let legacy =
+                run_with_budget(&prog_legacy, &mut [], &CtxLayout::empty(), &env_legacy, BUDGET);
 
             let map_jit = seeded_map();
             let env_jit = FixedEnv::new();
-            let jit = build(Arc::clone(&map_jit))
+            let jit = map_program("fuzzjit", &body, key, Arc::clone(&map_jit))
                 .prepare(&CtxLayout::empty())
-                .run_tier(ExecTier::Jit, &mut [], &env_jit, BUDGET);
-            prop_assert_eq!(&interp, &jit, "jit report diverges");
+                .run(&mut [], &env_jit, BUDGET);
+            prop_assert_eq!(&legacy, &jit, "jit report diverges");
             prop_assert_eq!(
-                &map_snapshot(&map_interp),
+                &map_snapshot(&map_legacy),
                 &map_snapshot(&map_jit),
                 "jit map effects diverge"
             );
-            prop_assert_eq!(env_interp.traces(), env_jit.traces(), "jit traces diverge");
+            prop_assert_eq!(env_legacy.traces(), env_jit.traces(), "jit traces diverge");
         }
     }
 
-    /// Tiny budgets on the compiled tier: jit steps pre-charge whole
-    /// pure-prefix groups, so exhaustion must fire at exactly the same
-    /// budgets with the same partial context effects as the interpreter.
+    /// Tiny budgets: jit steps pre-charge whole pure-prefix groups, so
+    /// exhaustion must fire at exactly the same budgets with the same
+    /// partial context effects as the legacy interpreter.
     #[test]
     fn jit_budget_accounting_is_exact(
         prog in program_strategy(),
@@ -418,20 +407,20 @@ proptest! {
         let layout = test_layout();
         if verify(&prog, &layout).is_ok() {
             let env = FixedEnv::new();
-            let prepared = prog.prepare(&layout);
-            let mut ctx_interp = fill_ctx(&layout, ctx_seed);
-            let interp = prepared.run_tier(ExecTier::Interp, &mut ctx_interp, &env, budget);
+            let mut ctx_legacy = fill_ctx(&layout, ctx_seed);
+            let legacy = run_with_budget(&prog, &mut ctx_legacy, &layout, &env, budget);
             let mut ctx_jit = fill_ctx(&layout, ctx_seed);
-            let jit = prepared.run_tier(ExecTier::Jit, &mut ctx_jit, &env, budget);
-            prop_assert_eq!(&interp, &jit, "jit budget behavior diverges");
-            prop_assert_eq!(&ctx_interp, &ctx_jit, "jit partial effects diverge");
+            let jit = prog.prepare(&layout).run(&mut ctx_jit, &env, budget);
+            prop_assert_eq!(&legacy, &jit, "jit budget behavior diverges");
+            prop_assert_eq!(&ctx_legacy, &ctx_jit, "jit partial effects diverge");
         }
     }
 
-    /// Deterministic fault injection hits both tiers identically: the
-    /// same plan (seed, invocation trigger, helper rate) against the
-    /// same invocation sequence produces the same faults at the same
-    /// invocations, and the same map/trace state afterwards.
+    /// Deterministic fault injection does what the plan says: an inert
+    /// plan leaves every run equal to the legacy oracle's; the trigger
+    /// invocation fails with the plan's kind before touching any map or
+    /// trace; and the injector counts exactly the injected errors the
+    /// runs returned.
     #[test]
     fn jit_fault_injection_parity(
         body in proptest::collection::vec(insn_strategy(), 1..16),
@@ -442,59 +431,60 @@ proptest! {
         kind_ix in 0usize..4,
         invocations in 1usize..12,
     ) {
-        let kind = [FaultKind::Budget, FaultKind::Trap, FaultKind::Helper, FaultKind::Map][kind_ix];
-        let build = |map: Arc<Map>| {
-            let mut insns = vec![
-                Insn::LdMapRef { dst: Reg::R1, map_id: 0 },
-                Insn::Store { size: MemSize::W, base: Reg::R10, off: -4, src: Operand::Imm(key) },
-                Insn::Alu { wide: true, op: AluOp::Mov, dst: Reg::R2, src: Operand::Reg(Reg::R10) },
-                Insn::Alu { wide: true, op: AluOp::Add, dst: Reg::R2, src: Operand::Imm(-4) },
-                Insn::Call { helper: HelperId::MapLookup as u32 },
-            ];
-            insns.extend(body.iter().cloned());
-            insns.push(Insn::Alu { wide: true, op: AluOp::Mov, dst: Reg::R0, src: Operand::Imm(0) });
-            insns.push(Insn::Exit);
-            Program::new("fuzzfault", insns, vec![map])
-        };
-        let map_interp = seeded_map();
-        let prog_interp = build(Arc::clone(&map_interp));
-        if verify(&prog_interp, &CtxLayout::empty()).is_ok() {
-            let plan = FaultPlan {
+        let kind = FaultKind::ALL[kind_ix];
+        let map_legacy = seeded_map();
+        let prog_legacy = map_program("fuzzfault", &body, key, Arc::clone(&map_legacy));
+        if verify(&prog_legacy, &CtxLayout::empty()).is_ok() {
+            // Inert plan: run for run, the legacy result.
+            let env_legacy = FixedEnv::new();
+            let map_inert = seeded_map();
+            let env_inert = FixedEnv::new();
+            let inert = FaultInjector::new(FaultPlan::inert(seed));
+            let prepared_inert =
+                map_program("fuzzfault", &body, key, Arc::clone(&map_inert))
+                    .prepare(&CtxLayout::empty());
+            for _ in 0..invocations {
+                let legacy = run_with_budget(
+                    &prog_legacy, &mut [], &CtxLayout::empty(), &env_legacy, BUDGET,
+                );
+                let got = prepared_inert
+                    .run_with_faults(&mut [], &env_inert, BUDGET, Some(&inert));
+                prop_assert_eq!(&legacy, &got, "inert plan changed a run");
+            }
+            prop_assert_eq!(inert.injected(), 0);
+            prop_assert_eq!(&map_snapshot(&map_legacy), &map_snapshot(&map_inert));
+            prop_assert_eq!(env_legacy.traces(), env_inert.traces());
+
+            // Armed plan: trigger plus helper-rate faults.
+            let map = seeded_map();
+            let env = FixedEnv::new();
+            let inj = FaultInjector::new(FaultPlan {
                 seed,
                 fault_on_invocation: Some(trigger),
                 repeat: false,
                 helper_fault_per_mille: per_mille,
                 kind,
-            };
-            let env_interp = FixedEnv::new();
-            let inj_interp = FaultInjector::new(plan.clone());
-            let prepared_interp = prog_interp.prepare(&CtxLayout::empty());
-            let mut got_interp = Vec::with_capacity(invocations);
-            for _ in 0..invocations {
-                got_interp.push(prepared_interp.run_tier_with_faults(
-                    ExecTier::Interp, &mut [], &env_interp, BUDGET, Some(&inj_interp),
-                ));
+            });
+            let prepared =
+                map_program("fuzzfault", &body, key, Arc::clone(&map)).prepare(&CtxLayout::empty());
+            let mut errors = 0u64;
+            for n in 1..=invocations as u64 {
+                let (snap, traces) = (map_snapshot(&map), env.traces());
+                let got = prepared.run_with_faults(&mut [], &env, BUDGET, Some(&inj));
+                if n == trigger {
+                    prop_assert_eq!(
+                        got.as_ref().map_err(RunError::fault_kind),
+                        Err(kind),
+                        "trigger invocation must fail with the plan's kind"
+                    );
+                    prop_assert_eq!(&snap, &map_snapshot(&map), "trigger touched a map");
+                    prop_assert_eq!(traces, env.traces(), "trigger emitted a trace");
+                }
+                // A verified, loop-free program cannot fault on its own
+                // at this budget: every error is an injected one.
+                errors += u64::from(got.is_err());
             }
-
-            let map_jit = seeded_map();
-            let env_jit = FixedEnv::new();
-            let inj_jit = FaultInjector::new(plan);
-            let prepared_jit = build(Arc::clone(&map_jit)).prepare(&CtxLayout::empty());
-            let mut got_jit = Vec::with_capacity(invocations);
-            for _ in 0..invocations {
-                got_jit.push(prepared_jit.run_tier_with_faults(
-                    ExecTier::Jit, &mut [], &env_jit, BUDGET, Some(&inj_jit),
-                ));
-            }
-
-            prop_assert_eq!(&got_interp, &got_jit, "injected fault sequences diverge");
-            prop_assert_eq!(inj_interp.injected(), inj_jit.injected(), "injection counts diverge");
-            prop_assert_eq!(
-                &map_snapshot(&map_interp),
-                &map_snapshot(&map_jit),
-                "post-fault map state diverges"
-            );
-            prop_assert_eq!(env_interp.traces(), env_jit.traces(), "post-fault traces diverge");
+            prop_assert_eq!(inj.injected(), errors, "injected count != injected errors");
         }
     }
 

@@ -1,8 +1,8 @@
-//! Differential property tests: the prepared fast path must be
-//! observationally identical to the legacy interpreter on every program
-//! the verifier accepts — same return value, same executed-instruction
-//! count, same context side effects, same map effects, and the same
-//! faults under a constrained budget.
+//! Differential property tests: prepared programs (which execute the
+//! compiled jit form) must be observationally identical to the legacy
+//! interpreter on every program the verifier accepts — same return
+//! value, same executed-instruction count, same context side effects,
+//! same map effects, and the same faults under a constrained budget.
 
 use std::sync::Arc;
 

@@ -23,7 +23,7 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
-use cbpf::error::FaultKind;
+use cbpf::error::{FaultKind, RunError};
 use cbpf::fault::FaultInjector;
 use ksim::Sim;
 use locks::hooks::{CmpNodeCtx, HookKind, LockEventCtx, ScheduleWaiterCtx, SkipShuffleCtx};
@@ -298,6 +298,132 @@ pub(crate) fn flight_record() -> Vec<telemetry::TraceEvent> {
     }
 }
 
+/// What one contained hook invocation did.
+#[derive(Debug)]
+pub(crate) enum Dispatch<T> {
+    /// The guarded body ran to completion.
+    Ran(T),
+    /// An open breaker bypassed the body.
+    Bypassed,
+    /// The body faulted, genuinely or by injection (the kind is already
+    /// tallied and fed to the breaker).
+    Faulted,
+}
+
+impl<T> Dispatch<T> {
+    /// The simulator's `(hook return, virtual cost)` for this invocation:
+    /// a completed body answers `ran`'s return at `check` plus `ran`'s
+    /// cost; a fault still paid the call indirection (`check +
+    /// HOOK_CALL_NS`) and a bypass only the check, both serving the
+    /// hook's [`fail_safe_default`].
+    pub(crate) fn sim_outcome(
+        self,
+        hook: HookKind,
+        check: u64,
+        ran: impl FnOnce(T) -> (u64, u64),
+    ) -> (u64, u64) {
+        match self {
+            Dispatch::Ran(t) => {
+                let (ret, cost) = ran(t);
+                (ret, check + cost)
+            }
+            Dispatch::Faulted => (fail_safe_default(hook), check + HOOK_CALL_NS),
+            Dispatch::Bypassed => (fail_safe_default(hook), check),
+        }
+    }
+}
+
+/// One policy's containment — an optional breaker and deterministic
+/// fault injector, plus invocation and fault tallies — and the single
+/// dispatch step every contained hook call goes through, on real
+/// threads and in the simulator alike.
+///
+/// Counters are relaxed atomics so one implementation serves both; an
+/// [`Arc`]-shared injector keeps one global fault numbering across every
+/// policy it arms.
+#[derive(Debug, Default)]
+pub(crate) struct Containment {
+    breaker: Option<Arc<Breaker>>,
+    injector: Option<Arc<FaultInjector>>,
+    invocations: AtomicU64,
+    faults: [AtomicU64; 4],
+}
+
+impl Containment {
+    pub(crate) fn new(breaker: Option<Arc<Breaker>>, injector: Option<Arc<FaultInjector>>) -> Self {
+        Containment {
+            breaker,
+            injector,
+            ..Containment::default()
+        }
+    }
+
+    pub(crate) fn breaker(&self) -> Option<&Arc<Breaker>> {
+        self.breaker.as_ref()
+    }
+
+    /// Virtual cost of the armed check: [`BREAKER_CHECK_NS`] with a
+    /// breaker, nothing without.
+    pub(crate) fn check_ns(&self) -> u64 {
+        if self.breaker.is_some() {
+            BREAKER_CHECK_NS
+        } else {
+            0
+        }
+    }
+
+    /// `(invocations, faults)`, bypassed invocations included in the
+    /// former.
+    pub(crate) fn stats(&self) -> (u64, u64) {
+        (
+            self.invocations.load(Ordering::Relaxed),
+            self.faults_by_kind().iter().sum(),
+        )
+    }
+
+    /// Fault counts in [`FaultKind::ALL`] order.
+    pub(crate) fn faults_by_kind(&self) -> [u64; 4] {
+        self.faults.each_ref().map(|n| n.load(Ordering::Relaxed))
+    }
+
+    /// One contained invocation: breaker admission at `now()`, then
+    /// `body` with the injector, then the success or fault record
+    /// (stamped at `now()` again). `now` is read only for admission and
+    /// fault records, so a real-thread caller passes its clock and a
+    /// simulated one the captured virtual time.
+    #[inline]
+    pub(crate) fn dispatch<T>(
+        &self,
+        now: impl Fn() -> u64,
+        body: impl FnOnce(Option<&FaultInjector>) -> Result<T, RunError>,
+    ) -> Dispatch<T> {
+        self.invocations.fetch_add(1, Ordering::Relaxed);
+        if let Some(b) = &self.breaker {
+            if !b.allow(now()) {
+                return Dispatch::Bypassed;
+            }
+        }
+        match body(self.injector.as_deref()) {
+            Ok(t) => {
+                if let Some(b) = &self.breaker {
+                    b.record_ok();
+                }
+                Dispatch::Ran(t)
+            }
+            Err(e) => {
+                // A fault is a verifier bug or an injected one; either way
+                // the hook degrades to the unpatched lock's decision.
+                let kind = e.fault_kind();
+                self.faults[kind.index()].fetch_add(1, Ordering::Relaxed);
+                if let Some(b) = &self.breaker {
+                    b.record_fault(kind, now());
+                }
+                Dispatch::Faulted
+            }
+        }
+    }
+}
+
 /// Containment wrapper for simulated locks: a [`SimPolicy`] that guards
 /// an inner policy with a breaker and optional deterministic fault
 /// injection, charging [`BREAKER_CHECK_NS`] of virtual time per guarded
@@ -307,7 +433,7 @@ pub(crate) fn flight_record() -> Vec<telemetry::TraceEvent> {
 pub struct ContainedPolicy {
     inner: Rc<dyn SimPolicy>,
     breaker: Arc<Breaker>,
-    injector: Option<Arc<FaultInjector>>,
+    guard: Containment,
     sim: Sim,
 }
 
@@ -322,8 +448,8 @@ impl ContainedPolicy {
     ) -> Self {
         ContainedPolicy {
             inner,
+            guard: Containment::new(Some(Arc::clone(&breaker)), injector),
             breaker,
-            injector,
             sim: sim.clone(),
         }
     }
@@ -333,60 +459,40 @@ impl ContainedPolicy {
         &self.breaker
     }
 
-    /// Runs the guard for one invocation of `hook`. `Some(cost)` means
-    /// the invocation is absorbed (bypassed or faulted) at that cost;
-    /// `None` means the inner policy should run.
-    fn guard(&self, _hook: HookKind) -> Option<u64> {
+    /// One guarded invocation of `hook`: the injector's invocation
+    /// trigger stands in for a program fault, and `inner` runs only when
+    /// admitted and not faulted.
+    fn contain(&self, hook: HookKind, inner: impl FnOnce() -> Decision) -> Decision {
         let now = self.sim.now();
-        if !self.breaker.allow(now) {
-            return Some(BREAKER_CHECK_NS);
-        }
-        if let Some(inj) = &self.injector {
-            if let Some(fault) = inj.invocation_fault() {
-                self.breaker.record_fault(fault.fault_kind(), now);
-                // A faulting invocation still paid the call indirection.
-                return Some(BREAKER_CHECK_NS + HOOK_CALL_NS);
-            }
-        }
-        None
+        let (ret, cost) = self
+            .guard
+            .dispatch(
+                || now,
+                |inj| match inj.and_then(FaultInjector::invocation_fault) {
+                    Some(fault) => Err(fault),
+                    None => Ok(inner()),
+                },
+            )
+            .sim_outcome(hook, self.guard.check_ns(), |(d, c)| (u64::from(d), c));
+        (ret != 0, cost)
     }
 }
 
 impl SimPolicy for ContainedPolicy {
     fn cmp_node(&self, ctx: &CmpNodeCtx) -> Decision {
-        if let Some(cost) = self.guard(HookKind::CmpNode) {
-            return (fail_safe_default(HookKind::CmpNode) != 0, cost);
-        }
-        let (d, c) = self.inner.cmp_node(ctx);
-        self.breaker.record_ok();
-        (d, c + BREAKER_CHECK_NS)
+        self.contain(HookKind::CmpNode, || self.inner.cmp_node(ctx))
     }
 
     fn skip_shuffle(&self, ctx: &SkipShuffleCtx) -> Decision {
-        if let Some(cost) = self.guard(HookKind::SkipShuffle) {
-            return (fail_safe_default(HookKind::SkipShuffle) != 0, cost);
-        }
-        let (d, c) = self.inner.skip_shuffle(ctx);
-        self.breaker.record_ok();
-        (d, c + BREAKER_CHECK_NS)
+        self.contain(HookKind::SkipShuffle, || self.inner.skip_shuffle(ctx))
     }
 
     fn schedule_waiter(&self, ctx: &ScheduleWaiterCtx) -> Decision {
-        if let Some(cost) = self.guard(HookKind::ScheduleWaiter) {
-            return (fail_safe_default(HookKind::ScheduleWaiter) != 0, cost);
-        }
-        let (d, c) = self.inner.schedule_waiter(ctx);
-        self.breaker.record_ok();
-        (d, c + BREAKER_CHECK_NS)
+        self.contain(HookKind::ScheduleWaiter, || self.inner.schedule_waiter(ctx))
     }
 
     fn on_event(&self, kind: HookKind, ctx: &LockEventCtx) -> u64 {
-        if let Some(cost) = self.guard(kind) {
-            return cost;
-        }
-        let c = self.inner.on_event(kind, ctx);
-        self.breaker.record_ok();
-        c + BREAKER_CHECK_NS
+        self.contain(kind, || (false, self.inner.on_event(kind, ctx))).1
     }
 
     fn wants_event(&self, kind: HookKind) -> bool {

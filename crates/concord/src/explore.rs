@@ -34,7 +34,7 @@ use std::sync::OnceLock;
 
 use cbpf::helpers::{HelperId, PolicyEnv};
 use cbpf::verifier::{verify_with_rules, HookRules};
-use cbpf::{compile_dsl, CtxLayout, FieldAccess, JitMode, OptConfig, PreparedProgram};
+use cbpf::{compile_dsl, CtxLayout, FieldAccess, PreparedProgram};
 use ksim::{
     CpuId, Histogram, Injection, PctStrategy, RandomDelayStrategy, ReplayStrategy, SchedAction,
     SchedController, SchedPoint, ScheduleStrategy, SimBuilder, SplitMix64,
@@ -811,10 +811,7 @@ impl PolicySchedStrategy {
         verify_with_rules(&prog, layout, &sched_rules())
             .map_err(|e| ExploreError::Policy(e.to_string()))?;
         Ok(PolicySchedStrategy {
-            // Eager jit: a schedule campaign invokes the policy at every
-            // decision point of every schedule, so the compile cost
-            // amortizes within the first schedule.
-            prepared: prog.prepare_with_jit(layout, OptConfig::default(), JitMode::Eager),
+            prepared: prog.prepare(layout),
             env: SchedEnv::default(),
             rng: SplitMix64::new(seed ^ 0x9051_c7ed_0bad_f00d),
         })

@@ -4,12 +4,13 @@ use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use cbpf::fault::FaultInjector;
 use cbpf::helpers::PolicyEnv;
+use cbpf::interp::RunReport;
 use cbpf::store::VerifiedProgram;
+use cbpf::PreparedProgram;
 use ksim::Sim;
 use locks::hooks::{
     CmpNodeCtx, CmpNodeFn, HookKind, LockEventCtx, LockEventFn, ScheduleWaiterCtx,
@@ -18,24 +19,17 @@ use locks::hooks::{
 use parking_lot::Mutex;
 use simlocks::policy::{Decision, SimPolicy};
 
-use crate::containment::{fail_safe_default, Breaker, BREAKER_CHECK_NS};
+use crate::containment::{fail_safe_default, Breaker, Containment, Dispatch};
 use crate::env::{RealEnv, SimHookEnv};
 use crate::hookctx;
+
+pub use telemetry::analyze::{HOOK_CALL_NS, NS_PER_INSN};
 
 /// Modeled cost of a live-patched lock *function* entry: redirection
 /// through the patch site, epoch pin and register shuffling. This is the
 /// cost an attached-but-trivial policy still pays on every acquire and
 /// release — the source of the worst-case slowdown in Fig. 2(c).
 pub const TRAMPOLINE_NS: u64 = 45;
-
-/// Modeled cost of invoking a policy at a hook site (indirect call +
-/// context marshalling); the program itself is JIT-compiled, as kernel
-/// eBPF is.
-pub const HOOK_CALL_NS: u64 = 15;
-
-/// Modeled cost per bytecode instruction after JIT compilation (~2× native
-/// per the usual eBPF JIT experience).
-pub const NS_PER_INSN: u64 = 2;
 
 /// Instruction budget per hook invocation (second-layer guard; verified
 /// policies are loop-free and cannot come close).
@@ -49,6 +43,35 @@ fn ctx_lock_id(ctx: &[u8]) -> u64 {
     let mut b = [0u8; 8];
     b.copy_from_slice(&ctx[..8]);
     u64::from_le_bytes(b)
+}
+
+/// The bytecode hook step of real and simulated locks alike: one
+/// contained run of `prog` against `env`, and on success the armed
+/// `HookSpan` stamped at `now()` (a span charges no virtual time, so
+/// armed and disarmed simulations produce identical figures).
+fn dispatch_program<E: PolicyEnv>(
+    guard: &Containment,
+    hook: HookKind,
+    prog: &PreparedProgram,
+    ctx: &mut [u8],
+    now: impl Fn() -> u64,
+    env: &E,
+) -> Dispatch<RunReport> {
+    guard.dispatch(&now, |inj| {
+        let report = prog.run_with_faults(ctx, env, HOOK_BUDGET, inj)?;
+        if telemetry::armed() {
+            telemetry::emit(
+                telemetry::EventKind::HookSpan,
+                now(),
+                env.cpu_id() as u16,
+                ctx_lock_id(ctx),
+                u64::from(hook.bit()),
+                report.insns,
+                HOOK_BUDGET - report.insns,
+            );
+        }
+        Ok(report)
+    })
 }
 
 /// A policy was loaded for one hook but requested as another — surfaced
@@ -78,11 +101,7 @@ pub struct BytecodePolicy {
     prog: VerifiedProgram,
     hook: HookKind,
     env: Arc<RealEnv>,
-    invocations: AtomicU64,
-    faults: AtomicU64,
-    faults_by_kind: [AtomicU64; 4],
-    breaker: Option<Arc<Breaker>>,
-    injector: Option<Arc<FaultInjector>>,
+    guard: Containment,
 }
 
 impl BytecodePolicy {
@@ -105,11 +124,7 @@ impl BytecodePolicy {
             prog,
             hook,
             env,
-            invocations: AtomicU64::new(0),
-            faults: AtomicU64::new(0),
-            faults_by_kind: Default::default(),
-            breaker,
-            injector,
+            guard: Containment::new(breaker, injector),
         })
     }
 
@@ -117,72 +132,29 @@ impl BytecodePolicy {
     /// programs unless an injector is armed; the counters exist for the
     /// soundness test harness and the breaker plumbing.
     pub fn stats(&self) -> (u64, u64) {
-        (
-            self.invocations.load(Ordering::Relaxed),
-            self.faults.load(Ordering::Relaxed),
-        )
+        self.guard.stats()
     }
 
     /// Fault counts in [`cbpf::FaultKind::ALL`] order.
     pub fn faults_by_kind(&self) -> [u64; 4] {
-        [
-            self.faults_by_kind[0].load(Ordering::Relaxed),
-            self.faults_by_kind[1].load(Ordering::Relaxed),
-            self.faults_by_kind[2].load(Ordering::Relaxed),
-            self.faults_by_kind[3].load(Ordering::Relaxed),
-        ]
+        self.guard.faults_by_kind()
     }
 
     /// The breaker guarding this policy, when armed.
     pub fn breaker(&self) -> Option<&Arc<Breaker>> {
-        self.breaker.as_ref()
+        self.guard.breaker()
     }
 
     fn run(&self, ctx: &mut [u8]) -> u64 {
-        self.invocations.fetch_add(1, Ordering::Relaxed);
-        if let Some(b) = &self.breaker {
-            if !b.allow(self.env.ktime_ns()) {
-                return fail_safe_default(self.hook);
-            }
-        }
         if telemetry::armed() {
             // Label policy-emitted records with the lock this invocation
             // serves (the env outlives any single hook call).
             self.env.note_lock(ctx_lock_id(ctx));
         }
-        let outcome =
-            self.prog
-                .prepared()
-                .run_with_faults(ctx, &*self.env, HOOK_BUDGET, self.injector.as_deref());
-        match outcome {
-            Ok(report) => {
-                if let Some(b) = &self.breaker {
-                    b.record_ok();
-                }
-                if telemetry::armed() {
-                    telemetry::emit(
-                        telemetry::EventKind::HookSpan,
-                        self.env.ktime_ns(),
-                        self.env.cpu_id() as u16,
-                        ctx_lock_id(ctx),
-                        u64::from(self.hook.bit()),
-                        report.insns,
-                        HOOK_BUDGET - report.insns,
-                    );
-                }
-                report.ret
-            }
-            Err(e) => {
-                // A fault is a verifier bug or an injected one; either way
-                // the hook degrades to the unpatched lock's decision.
-                let kind = e.fault_kind();
-                self.faults.fetch_add(1, Ordering::Relaxed);
-                self.faults_by_kind[kind.index()].fetch_add(1, Ordering::Relaxed);
-                if let Some(b) = &self.breaker {
-                    b.record_fault(kind, self.env.ktime_ns());
-                }
-                fail_safe_default(self.hook)
-            }
+        let prog = self.prog.prepared();
+        match dispatch_program(&self.guard, self.hook, prog, ctx, locks::now_ns, &*self.env) {
+            Dispatch::Ran(report) => report.ret,
+            Dispatch::Bypassed | Dispatch::Faulted => fail_safe_default(self.hook),
         }
     }
 
@@ -271,9 +243,9 @@ impl BytecodePolicy {
 
 /// A set of verified programs driving a simulated shuffle lock.
 ///
-/// Each invocation runs the interpreter for real (so maps fill, traces
-/// flow) and charges `HOOK_CALL_NS + insns × NS_PER_INSN` to virtual
-/// time — the "Concord-ShflLock" series of Fig. 2(b)/(c).
+/// Each invocation runs the program for real (so maps fill, traces flow)
+/// and charges `HOOK_CALL_NS + insns × NS_PER_INSN` to virtual time — the
+/// "Concord-ShflLock" series of Fig. 2(b)/(c).
 pub struct SimBytecodePolicy {
     sim: Sim,
     cmp: Option<VerifiedProgram>,
@@ -283,11 +255,7 @@ pub struct SimBytecodePolicy {
     priorities: Arc<Mutex<std::collections::HashMap<u64, i64>>>,
     rng: Cell<u64>,
     cores_per_socket: u32,
-    invocations: Cell<u64>,
-    faults: Cell<u64>,
-    faults_by_kind: Cell<[u64; 4]>,
-    breaker: Option<Arc<Breaker>>,
-    injector: Option<Arc<FaultInjector>>,
+    guard: Containment,
 }
 
 impl SimBytecodePolicy {
@@ -302,11 +270,7 @@ impl SimBytecodePolicy {
             priorities: Arc::new(Mutex::new(Default::default())),
             rng: Cell::new(0x243F_6A88_85A3_08D3),
             cores_per_socket: sim.topology().cores_per_socket(),
-            invocations: Cell::new(0),
-            faults: Cell::new(0),
-            faults_by_kind: Cell::new([0; 4]),
-            breaker: None,
-            injector: None,
+            guard: Containment::default(),
         }
     }
 
@@ -325,27 +289,26 @@ impl SimBytecodePolicy {
 
     /// Arms the policy set with a circuit `breaker` and an optional
     /// deterministic fault `injector`. Every hook invocation then charges
-    /// [`BREAKER_CHECK_NS`] of virtual time on top of the interpreter cost,
-    /// faults degrade to the fail-safe defaults, and an open breaker
+    /// [`crate::BREAKER_CHECK_NS`] of virtual time on top of the program
+    /// cost, faults degrade to the fail-safe defaults, and an open breaker
     /// bypasses the programs entirely.
     pub fn with_containment(
         mut self,
         breaker: Arc<Breaker>,
         injector: Option<Arc<FaultInjector>>,
     ) -> Self {
-        self.breaker = Some(breaker);
-        self.injector = injector;
+        self.guard = Containment::new(Some(breaker), injector);
         self
     }
 
     /// The breaker guarding this policy set, when armed.
     pub fn breaker(&self) -> Option<&Arc<Breaker>> {
-        self.breaker.as_ref()
+        self.guard.breaker()
     }
 
     /// Fault counts in [`cbpf::FaultKind::ALL`] order.
     pub fn faults_by_kind(&self) -> [u64; 4] {
-        self.faults_by_kind.get()
+        self.guard.faults_by_kind()
     }
 
     /// Registers a task priority for the `task_priority` helper.
@@ -360,16 +323,7 @@ impl SimBytecodePolicy {
 
     /// `(invocations, faults)` counters.
     pub fn stats(&self) -> (u64, u64) {
-        (self.invocations.get(), self.faults.get())
-    }
-
-    fn next_random(&self) -> u64 {
-        let mut x = self.rng.get();
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.rng.set(x);
-        x
+        self.guard.stats()
     }
 
     fn run(
@@ -379,21 +333,13 @@ impl SimBytecodePolicy {
         ctx: &mut [u8],
         cpu: u32,
         pid: u64,
-    ) -> (u64, u64) {
-        self.invocations.set(self.invocations.get() + 1);
+    ) -> Decision {
         let now = self.sim.now();
-        let check = if self.breaker.is_some() {
-            BREAKER_CHECK_NS
-        } else {
-            0
-        };
-        if let Some(b) = &self.breaker {
-            if !b.allow(now) {
-                // Open breaker: the program is bypassed, the hook serves
-                // the unpatched lock's decision at the bare check cost.
-                return (fail_safe_default(hook), check);
-            }
-        }
+        // The next xorshift draw; only an admitted invocation consumes it.
+        let mut random = self.rng.get();
+        random ^= random << 13;
+        random ^= random >> 7;
+        random ^= random << 17;
         let env = SimHookEnv {
             cpu,
             socket: cpu / self.cores_per_socket,
@@ -401,112 +347,54 @@ impl SimBytecodePolicy {
             pid,
             lock_id: ctx_lock_id(ctx),
             cores_per_socket: self.cores_per_socket,
-            random: self.next_random(),
+            random,
             priorities: Arc::clone(&self.priorities),
             sim: Some(self.sim.clone()),
         };
-        let outcome = prog
-            .prepared()
-            .run_with_faults(ctx, &env, HOOK_BUDGET, self.injector.as_deref());
-        match outcome {
-            Ok(report) => {
-                if let Some(b) = &self.breaker {
-                    b.record_ok();
-                }
-                if telemetry::armed() {
-                    // Virtual-time span; charges no virtual time itself, so
-                    // armed and disarmed runs produce identical figures.
-                    telemetry::emit(
-                        telemetry::EventKind::HookSpan,
-                        now,
-                        cpu as u16,
-                        env.lock_id,
-                        u64::from(hook.bit()),
-                        report.insns,
-                        HOOK_BUDGET - report.insns,
-                    );
-                }
-                (report.ret, check + HOOK_CALL_NS + report.insns * NS_PER_INSN)
-            }
-            Err(e) => {
-                let kind = e.fault_kind();
-                self.faults.set(self.faults.get() + 1);
-                let mut by = self.faults_by_kind.get();
-                by[kind.index()] += 1;
-                self.faults_by_kind.set(by);
-                if let Some(b) = &self.breaker {
-                    b.record_fault(kind, now);
-                }
-                (fail_safe_default(hook), check + HOOK_CALL_NS)
-            }
+        let outcome = dispatch_program(&self.guard, hook, prog.prepared(), ctx, || now, &env);
+        if !matches!(outcome, Dispatch::Bypassed) {
+            self.rng.set(random);
         }
+        let (ret, cost) = outcome.sim_outcome(hook, self.guard.check_ns(), |r| {
+            (r.ret, HOOK_CALL_NS + r.insns * NS_PER_INSN)
+        });
+        (ret != 0, cost)
     }
 }
 
 impl SimPolicy for SimBytecodePolicy {
     fn cmp_node(&self, ctx: &CmpNodeCtx) -> Decision {
-        match &self.cmp {
-            Some(prog) => {
-                let mut buf = hookctx::marshal_cmp_node(ctx);
-                let (ret, cost) = self.run(
-                    HookKind::CmpNode,
-                    prog,
-                    &mut buf,
-                    ctx.shuffler.cpu,
-                    ctx.shuffler.tid,
-                );
-                (ret != 0, cost)
-            }
-            None => (false, 0),
-        }
+        let Some(prog) = &self.cmp else {
+            return (false, 0);
+        };
+        let buf = &mut hookctx::marshal_cmp_node(ctx);
+        self.run(HookKind::CmpNode, prog, buf, ctx.shuffler.cpu, ctx.shuffler.tid)
     }
 
     fn skip_shuffle(&self, ctx: &SkipShuffleCtx) -> Decision {
-        match &self.skip {
-            Some(prog) => {
-                let mut buf = hookctx::marshal_skip_shuffle(ctx);
-                let (ret, cost) = self.run(
-                    HookKind::SkipShuffle,
-                    prog,
-                    &mut buf,
-                    ctx.shuffler.cpu,
-                    ctx.shuffler.tid,
-                );
-                (ret != 0, cost)
-            }
+        let Some(prog) = &self.skip else {
             // No explicit skip program: shuffle exactly when a cmp_node
-            // program is attached; consulting the vacant patched slot still
-            // costs an indirect call.
-            None => (self.cmp.is_none(), HOOK_CALL_NS),
-        }
+            // program is attached; consulting the vacant patched slot
+            // still costs an indirect call.
+            return (self.cmp.is_none(), HOOK_CALL_NS);
+        };
+        let buf = &mut hookctx::marshal_skip_shuffle(ctx);
+        self.run(HookKind::SkipShuffle, prog, buf, ctx.shuffler.cpu, ctx.shuffler.tid)
     }
 
     fn schedule_waiter(&self, ctx: &ScheduleWaiterCtx) -> Decision {
-        match &self.sched {
-            Some(prog) => {
-                let mut buf = hookctx::marshal_schedule_waiter(ctx);
-                let (ret, cost) = self.run(
-                    HookKind::ScheduleWaiter,
-                    prog,
-                    &mut buf,
-                    ctx.curr.cpu,
-                    ctx.curr.tid,
-                );
-                (ret != 0, cost)
-            }
-            None => (true, 0),
-        }
+        let Some(prog) = &self.sched else {
+            return (true, 0);
+        };
+        let buf = &mut hookctx::marshal_schedule_waiter(ctx);
+        self.run(HookKind::ScheduleWaiter, prog, buf, ctx.curr.cpu, ctx.curr.tid)
     }
 
     fn on_event(&self, kind: HookKind, ctx: &LockEventCtx) -> u64 {
-        match self.events.get(&kind) {
-            Some(prog) => {
-                let mut buf = hookctx::marshal_event(ctx);
-                let (_, cost) = self.run(kind, prog, &mut buf, ctx.cpu, ctx.tid);
-                cost
-            }
-            None => 0,
-        }
+        let Some(prog) = self.events.get(&kind) else {
+            return 0;
+        };
+        self.run(kind, prog, &mut hookctx::marshal_event(ctx), ctx.cpu, ctx.tid).1
     }
 
     fn wants_event(&self, kind: HookKind) -> bool {
@@ -514,34 +402,12 @@ impl SimPolicy for SimBytecodePolicy {
     }
 }
 
-/// A no-op attached policy for the simulator: the lock's acquire and
-/// release functions have been live-patched (one indirection each), and
-/// the shuffler consults a patched decision slot — but no user code runs.
-/// This is the paper's Fig. 2(c) "worst-case scenario when no userspace
-/// code is executed".
-pub struct AttachedNoopPolicy;
-
-impl SimPolicy for AttachedNoopPolicy {
-    fn cmp_node(&self, _ctx: &CmpNodeCtx) -> Decision {
-        (false, TRAMPOLINE_NS)
-    }
-
-    fn skip_shuffle(&self, _ctx: &SkipShuffleCtx) -> Decision {
-        (true, TRAMPOLINE_NS)
-    }
-
-    fn on_event(&self, _kind: HookKind, _ctx: &LockEventCtx) -> u64 {
-        TRAMPOLINE_NS
-    }
-
-    fn wants_event(&self, kind: HookKind) -> bool {
-        // One patched entry point on the acquire path, one on release.
-        matches!(kind, HookKind::LockAcquire | HookKind::LockRelease)
-    }
-}
-
-/// Like [`AttachedNoopPolicy`] but with a configurable per-entry cost —
-/// the knob for the Fig. 2(c) sensitivity ablation.
+/// An attached policy that runs no user code, for the simulator: the
+/// lock's acquire and release functions have been live-patched (one
+/// indirection each), and the shuffler consults a patched decision slot,
+/// each at the given per-entry cost. `PatchedEntryPolicy(TRAMPOLINE_NS)`
+/// is the paper's Fig. 2(c) "worst-case scenario when no userspace code
+/// is executed"; other costs drive the Fig. 2(c) sensitivity ablation.
 pub struct PatchedEntryPolicy(pub u64);
 
 impl SimPolicy for PatchedEntryPolicy {
@@ -558,6 +424,7 @@ impl SimPolicy for PatchedEntryPolicy {
     }
 
     fn wants_event(&self, kind: HookKind) -> bool {
+        // One patched entry point on the acquire path, one on release.
         matches!(kind, HookKind::LockAcquire | HookKind::LockRelease)
     }
 }
@@ -714,9 +581,101 @@ mod tests {
         assert_eq!(p.stats().1, 0);
     }
 
+    /// One dispatcher serves both lock worlds: a real and a simulated
+    /// policy over the same program, the same env values and the same
+    /// fault plan make the same decisions and record the same faults.
+    #[test]
+    fn real_and_sim_dispatch_agree_under_one_fault_plan() {
+        use crate::containment::BreakerConfig;
+        use cbpf::fault::FaultPlan;
+        use cbpf::FaultKind;
+
+        // Same socket and running on CPU 12 → 1, else 0; the `cpu_id`
+        // call is the helper site rate faults hit.
+        let prog = || {
+            let layout = hookctx::cmp_node_layout();
+            let sh = layout.field("shuffler_socket").unwrap().offset as i16;
+            let cu = layout.field("curr_socket").unwrap().offset as i16;
+            let mut b = ProgramBuilder::new("numa_cpu");
+            b.load(MemSize::W, Reg::R2, Reg::R1, sh);
+            b.load(MemSize::W, Reg::R3, Reg::R1, cu);
+            b.mov_imm(Reg::R6, 0);
+            b.jmp(JmpOp::Ne, Reg::R2, Reg::R3, "out");
+            b.call(cbpf::HelperId::CpuId);
+            b.jmp_imm(JmpOp::Ne, Reg::R0, 12, "out");
+            b.mov_imm(Reg::R6, 1);
+            b.label("out");
+            b.mov(Reg::R0, Reg::R6);
+            b.exit();
+            VerifiedProgram::new(
+                b.build().unwrap(),
+                layout,
+                &hookctx::rules_for(HookKind::CmpNode),
+            )
+            .unwrap()
+        };
+        let plan = FaultPlan {
+            seed: 7,
+            fault_on_invocation: Some(3),
+            repeat: false,
+            helper_fault_per_mille: 250,
+            kind: FaultKind::Trap,
+        };
+        let breaker = || {
+            Arc::new(Breaker::new(BreakerConfig {
+                threshold: 4,
+                cooldown_ns: None,
+            }))
+        };
+        let injector = || Some(Arc::new(FaultInjector::new(plan.clone())));
+        let real = BytecodePolicy::contained(
+            prog(),
+            HookKind::CmpNode,
+            Arc::new(RealEnv::new()),
+            Some(breaker()),
+            injector(),
+        );
+        let sim = ksim::SimBuilder::new().build();
+        let simulated = SimBytecodePolicy::new(&sim)
+            .install(HookKind::CmpNode, prog())
+            .with_containment(breaker(), injector());
+
+        locks::topo::pin_thread(12);
+        let f = real.as_cmp_node().unwrap();
+        let ctxs = [
+            CmpNodeCtx {
+                lock_id: 1,
+                shuffler: view(12),
+                curr: view(15),
+            },
+            CmpNodeCtx {
+                lock_id: 1,
+                shuffler: view(12),
+                curr: view(55),
+            },
+        ];
+        let (mut real_says, mut sim_says) = (Vec::new(), Vec::new());
+        for i in 0..64 {
+            let ctx = &ctxs[i % 2];
+            real_says.push(f(ctx));
+            sim_says.push(simulated.cmp_node(ctx).0);
+        }
+        assert_eq!(real_says, sim_says);
+        assert!(real_says.contains(&true), "the program ran and decided");
+        let by_kind = real.faults_by_kind();
+        assert_eq!(by_kind, simulated.faults_by_kind());
+        assert!(by_kind[FaultKind::Trap.index()] == 1, "the trigger fired once");
+        assert!(by_kind[FaultKind::Helper.index()] > 0, "helper-rate faults fired");
+        assert_eq!(real.stats(), simulated.stats());
+        assert_eq!(
+            real.breaker().unwrap().state(),
+            simulated.breaker().unwrap().state()
+        );
+    }
+
     #[test]
     fn noop_policy_costs_trampoline_only() {
-        let p = AttachedNoopPolicy;
+        let p = PatchedEntryPolicy(TRAMPOLINE_NS);
         let (d, c) = p.cmp_node(&CmpNodeCtx {
             lock_id: 1,
             shuffler: view(0),

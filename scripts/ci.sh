@@ -15,8 +15,10 @@ cargo test -q
 echo "== cargo clippy --workspace -- -D warnings =="
 cargo clippy --workspace -- -D warnings
 
-# Data-plane regression gate: asserts the prepared map_mix speedup stays
-# above its floor. Skip on noisy builders with C3_BENCH_GATE=0.
+# Data-plane regression gate: asserts the runtime (jit) speedup over the
+# legacy interpreter stays above its floors (alu_chain >= 4.6x, map_mix
+# >= 2.6x; engines timed in alternating rounds, min of rounds). Skip on
+# noisy builders with C3_BENCH_GATE=0.
 echo "== bench_gate (C3_BENCH_GATE=${C3_BENCH_GATE:-1}) =="
 C3_BENCH_GATE="${C3_BENCH_GATE:-1}" cargo run -p c3-bench --release --bin bench_gate
 

@@ -390,8 +390,17 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
     use std::sync::Arc;
 
+    /// The epoch table is process-global: a pin held by one test keeps
+    /// another test's garbage alive, so the tests run one at a time.
+    static SERIAL: Mutex<()> = Mutex::new(());
+
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn deferred_destruction_waits_for_pins() {
+        let _serial = serial();
         struct Counted(Arc<AtomicUsize>);
         impl Drop for Counted {
             fn drop(&mut self) {
@@ -424,6 +433,7 @@ mod tests {
 
     #[test]
     fn compare_exchange_success_returns_new() {
+        let _serial = serial();
         let g = pin();
         let slot = Atomic::new(1u32);
         let cur = slot.load(Ordering::Acquire, &g);

@@ -54,12 +54,9 @@
 //! help | quit
 //! ```
 //!
-//! The `rollout`, `quarantines <lock>`, `explore`, `policy`, `fleet`,
-//! `analyze`, `blame`, `chains` and `flame` families report **typed**
-//! errors and, in
-//! scripted mode, make the process exit nonzero on failure — they are the
-//! commands CI gates on. Legacy commands keep the historical
-//! always-exit-0 contract.
+//! Every command reports a typed [`CtlError`]. Interactive mode prints
+//! it and carries on; scripted mode prints it, runs the rest of the
+//! script, and exits 1 if any line failed, so a script can gate on it.
 //!
 //! Setting `C3_TRACE=1` in the environment arms the trace plane at
 //! startup, so every lock transition, hook span and policy-emitted event
@@ -85,12 +82,11 @@ use concord::{
 use locks::hooks::HookKind;
 use locks::{Bravo, NeutralRwLock, RawLock, ShflLock, ShflMutex};
 
-/// Typed failures for the gating control surface (`rollout`,
-/// `quarantines <lock>`). Unlike the legacy free-text errors these flip
-/// the scripted-mode exit code, so CI can gate on them.
+/// Why a command failed. Any failure flips the scripted-mode exit code.
 #[derive(Debug)]
 enum CtlError {
     Usage(&'static str),
+    UnknownCommand(String),
     UnknownLock(String),
     UnknownPolicy(String),
     UnknownHook(String),
@@ -99,8 +95,14 @@ enum CtlError {
     /// A wire artifact failed to open (tamper, context drift, or
     /// re-verification failure on this host).
     Wire(cbpf::WireError),
-    /// Compile/verify failure on the `policy` surface.
-    Policy(ConcordError),
+    /// A compile, verify, attach or detach failure inside Concord.
+    Concord(ConcordError),
+    /// A malformed argument (a count that does not parse, an unknown
+    /// trace subcommand or event kind).
+    BadArg(String),
+    /// The command does not apply to this lock or session state (nothing
+    /// to detach, a profiling session already running, …).
+    Refused(String),
     /// A trace failed to parse or the analysis surface was misused
     /// (e.g. `blame` before any `analyze`).
     Analyze(String),
@@ -115,6 +117,7 @@ impl fmt::Display for CtlError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CtlError::Usage(u) => write!(f, "usage: {u}"),
+            CtlError::UnknownCommand(c) => write!(f, "unknown command `{c}` (try `help`)"),
             CtlError::UnknownLock(l) => write!(f, "unknown lock `{l}`"),
             CtlError::UnknownPolicy(p) => {
                 write!(f, "no loaded policy `{p}` (use `load` first)")
@@ -123,10 +126,11 @@ impl fmt::Display for CtlError {
             CtlError::Rollout(e) => write!(f, "{e}"),
             CtlError::Explore(e) => write!(f, "{e}"),
             CtlError::Wire(e) => write!(f, "wire artifact rejected: {e}"),
-            CtlError::Policy(e) => write!(f, "{e}"),
-            CtlError::Analyze(e) => write!(f, "{e}"),
             CtlError::Fleet(e) => write!(f, "fleet: {e}"),
-            CtlError::Io(e) => write!(f, "{e}"),
+            CtlError::Concord(e) => write!(f, "{e}"),
+            CtlError::Analyze(e) | CtlError::BadArg(e) | CtlError::Refused(e) | CtlError::Io(e) => {
+                write!(f, "{e}")
+            }
         }
     }
 }
@@ -140,6 +144,12 @@ impl From<RolloutError> for CtlError {
 impl From<ExploreError> for CtlError {
     fn from(e: ExploreError) -> Self {
         CtlError::Explore(e)
+    }
+}
+
+impl From<ConcordError> for CtlError {
+    fn from(e: ConcordError) -> Self {
+        CtlError::Concord(e)
     }
 }
 
@@ -183,8 +193,7 @@ struct Ctl {
     /// `chains` and `flame` views.
     last_report: Option<telemetry::Report>,
     next_generation: u64,
-    /// A typed (`rollout`/`quarantines`) command failed; scripted mode
-    /// exits nonzero.
+    /// A command failed; scripted mode exits nonzero.
     failed: bool,
 }
 
@@ -233,6 +242,7 @@ impl Ctl {
         }
         let mut parts = line.splitn(4, char::is_whitespace);
         let cmd = parts.next().unwrap_or("");
+        let rest: Vec<&str> = line.split_whitespace().skip(1).collect();
         let result = match cmd {
             "quit" | "exit" => return false,
             "help" => {
@@ -259,10 +269,7 @@ impl Ctl {
                 }
                 Ok(())
             }
-            "profile" => {
-                let rest: Vec<&str> = line.split_whitespace().skip(1).collect();
-                self.cmd_profile(&rest)
-            }
+            "profile" => self.cmd_profile(&rest),
             "report" => {
                 match &self.profiler {
                     Some(p) => {
@@ -286,7 +293,7 @@ impl Ctl {
                     Err(e) => {
                         // Keep the session so a later retry can finish.
                         self.profiler = Some(p);
-                        Err(e.to_string())
+                        Err(e.into())
                     }
                 },
                 None => {
@@ -294,40 +301,18 @@ impl Ctl {
                     Ok(())
                 }
             },
-            "quarantines" => self.typed(Self::cmd_quarantines, parts.next()),
-            "rollout" => {
-                let rest: Vec<&str> = line.split_whitespace().skip(1).collect();
-                self.typed(Self::cmd_rollout, &rest)
-            }
-            "explore" => {
-                let rest: Vec<&str> = line.split_whitespace().skip(1).collect();
-                self.typed(Self::cmd_explore, &rest)
-            }
-            "fleet" => {
-                let rest: Vec<&str> = line.split_whitespace().skip(1).collect();
-                self.typed(Self::cmd_fleet, &rest)
-            }
-            "policy" => {
-                let rest: Vec<&str> = line.split_whitespace().skip(1).collect();
-                self.typed(Self::cmd_policy, &rest)
-            }
-            "hammer" => {
-                // splitn(4) would glue iters and hold_us together.
-                let mut words = line.split_whitespace().skip(1);
-                self.cmd_hammer(words.next(), words.next(), words.next(), words.next())
-            }
+            "quarantines" => self.cmd_quarantines(parts.next()),
+            "rollout" => self.cmd_rollout(&rest),
+            "explore" => self.cmd_explore(&rest),
+            "fleet" => self.cmd_fleet(&rest),
+            "policy" => self.cmd_policy(&rest),
+            "hammer" => self.cmd_hammer(&rest),
             "stats" => self.cmd_stats(parts.next()),
-            "trace" => {
-                let rest: Vec<&str> = line.split_whitespace().skip(1).collect();
-                self.cmd_trace(&rest)
-            }
-            "analyze" => {
-                let rest: Vec<&str> = line.split_whitespace().skip(1).collect();
-                self.typed(Self::cmd_analyze, &rest)
-            }
-            "blame" => self.typed(Self::cmd_blame, ()),
-            "chains" => self.typed(Self::cmd_chains, ()),
-            "flame" => self.typed(Self::cmd_flame, parts.next()),
+            "trace" => self.cmd_trace(&rest),
+            "analyze" => self.cmd_analyze(&rest),
+            "blame" => self.cmd_blame(),
+            "chains" => self.cmd_chains(),
+            "flame" => self.cmd_flame(parts.next()),
             "metrics" => {
                 // Refresh the plane gauges so the dump always carries the
                 // trace-plane state alongside the control-plane counters.
@@ -347,25 +332,13 @@ impl Ctl {
                 }
                 Ok(())
             }
-            other => Err(format!("unknown command `{other}` (try `help`)")),
+            other => Err(CtlError::UnknownCommand(other.to_string())),
         };
         if let Err(e) = result {
             println!("error: {e}");
+            self.failed = true;
         }
         true
-    }
-
-    /// Runs a typed-error command, recording failure for the scripted
-    /// exit code.
-    fn typed<A>(
-        &mut self,
-        f: impl FnOnce(&mut Self, A) -> Result<(), CtlError>,
-        arg: A,
-    ) -> Result<(), String> {
-        f(self, arg).map_err(|e| {
-            self.failed = true;
-            e.to_string()
-        })
     }
 
     fn cmd_quarantines(&mut self, lock: Option<&str>) -> Result<(), CtlError> {
@@ -797,14 +770,14 @@ impl Ctl {
                 let layout = hookctx::layout_for(kind);
                 let program = if src.ends_with(".c") {
                     cbpf::dsl::compile(name, &text, layout)
-                        .map_err(|e| CtlError::Policy(ConcordError::Asm(e)))?
+                        .map_err(|e| CtlError::Concord(ConcordError::Asm(e)))?
                 } else {
                     cbpf::asm::assemble_named(name, &text, &[])
-                        .map_err(|e| CtlError::Policy(ConcordError::Asm(e)))?
+                        .map_err(|e| CtlError::Concord(ConcordError::Asm(e)))?
                 };
                 let rules = hookctx::rules_for(kind);
                 let verified = VerifiedProgram::new(program, layout, &rules)
-                    .map_err(|e| CtlError::Policy(ConcordError::Verify(e)))?;
+                    .map_err(|e| CtlError::Concord(ConcordError::Verify(e)))?;
                 let bytes = verified.seal();
                 std::fs::write(out, &bytes)
                     .map_err(|e| CtlError::Io(format!("write {out}: {e}")))?;
@@ -831,7 +804,7 @@ impl Ctl {
                     kind,
                     cbpf::Program::new(p.name().to_string(), p.insns().to_vec(), p.maps().to_vec()),
                 );
-                let loaded = self.concord.load(spec).map_err(CtlError::Policy)?;
+                let loaded = self.concord.load(spec)?;
                 println!(
                     "  opened {file}: verified and pinned policies/{name}/{}",
                     kind.name()
@@ -848,19 +821,20 @@ impl Ctl {
         name: Option<&str>,
         hook: Option<&str>,
         file: Option<&str>,
-    ) -> Result<(), String> {
+    ) -> Result<(), CtlError> {
         let (name, hook, file) = match (name, hook, file) {
             (Some(n), Some(h), Some(f)) => (n, h, f),
-            _ => return Err("usage: load <name> <hook> <file.c|file.s>".into()),
+            _ => return Err(CtlError::Usage("load <name> <hook> <file.c|file.s>")),
         };
-        let hook = hook_by_name(hook).ok_or_else(|| format!("unknown hook `{hook}`"))?;
-        let src = std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))?;
+        let hook = hook_by_name(hook).ok_or_else(|| CtlError::UnknownHook(hook.to_string()))?;
+        let src =
+            std::fs::read_to_string(file).map_err(|e| CtlError::Io(format!("{file}: {e}")))?;
         let spec = if file.ends_with(".c") {
             PolicySpec::from_c(name, hook, &src)
         } else {
             PolicySpec::from_asm(name, hook, &src)
         };
-        let loaded = self.concord.load(spec).map_err(|e| e.to_string())?;
+        let loaded = self.concord.load(spec)?;
         println!("  verified and pinned policies/{name}/{}", hook.name());
         self.loaded.insert(name.to_string(), loaded);
         Ok(())
@@ -871,129 +845,110 @@ impl Ctl {
         name: Option<&str>,
         hook: Option<&str>,
         src: Option<&str>,
-    ) -> Result<(), String> {
+    ) -> Result<(), CtlError> {
         let (name, hook, src) = match (name, hook, src) {
             (Some(n), Some(h), Some(s)) => (n, h, s),
-            _ => return Err("usage: loadsrc <name> <hook> <c source…>".into()),
+            _ => return Err(CtlError::Usage("loadsrc <name> <hook> <c source…>")),
         };
-        let hook = hook_by_name(hook).ok_or_else(|| format!("unknown hook `{hook}`"))?;
-        let loaded = self
-            .concord
-            .load(PolicySpec::from_c(name, hook, src))
-            .map_err(|e| e.to_string())?;
+        let hook = hook_by_name(hook).ok_or_else(|| CtlError::UnknownHook(hook.to_string()))?;
+        let loaded = self.concord.load(PolicySpec::from_c(name, hook, src))?;
         println!("  verified and pinned policies/{name}/{}", hook.name());
         self.loaded.insert(name.to_string(), loaded);
         Ok(())
     }
 
-    fn cmd_attach(&mut self, lock: Option<&str>, policy: Option<&str>) -> Result<(), String> {
+    fn cmd_attach(&mut self, lock: Option<&str>, policy: Option<&str>) -> Result<(), CtlError> {
         let (lock, policy) = match (lock, policy) {
             (Some(l), Some(p)) => (l, p),
-            _ => return Err("usage: attach <lock> <policy>".into()),
+            _ => return Err(CtlError::Usage("attach <lock> <policy>")),
         };
         let loaded = self
             .loaded
             .get(policy)
-            .ok_or_else(|| format!("no loaded policy `{policy}` (use `load` first)"))?;
-        let h = self
-            .concord
-            .attach(lock, loaded)
-            .map_err(|e| e.to_string())?;
+            .ok_or_else(|| CtlError::UnknownPolicy(policy.to_string()))?;
+        let h = self.concord.attach(lock, loaded)?;
         println!("  patched {lock}/{}", h.hook.name());
         self.patches.push(h);
         Ok(())
     }
 
-    fn cmd_detach(&mut self) -> Result<(), String> {
-        let h = self.patches.pop().ok_or("no live patches")?;
+    fn cmd_detach(&mut self) -> Result<(), CtlError> {
+        let h = self
+            .patches
+            .pop()
+            .ok_or_else(|| CtlError::Refused("no live patches".into()))?;
         let label = format!("{}/{}", h.lock, h.hook.name());
-        self.concord.detach(h).map_err(|e| e.to_string())?;
+        self.concord.detach(h)?;
         println!("  reverted {label}");
         Ok(())
     }
 
-    fn cmd_profile(&mut self, names: &[&str]) -> Result<(), String> {
+    fn cmd_profile(&mut self, names: &[&str]) -> Result<(), CtlError> {
         if names.is_empty() {
-            return Err("usage: profile <lock> [<lock>…]".into());
+            return Err(CtlError::Usage("profile <lock> [<lock>…]"));
         }
         if self.profiler.is_some() {
-            return Err("a profiling session is already running (use `unprofile`)".into());
+            return Err(CtlError::Refused(
+                "a profiling session is already running (use `unprofile`)".into(),
+            ));
         }
-        let p = Profiler::attach(&self.concord, names).map_err(|e| e.to_string())?;
+        let p = Profiler::attach(&self.concord, names)?;
         println!("  profiling {}", names.join(", "));
         self.profiler = Some(p);
         Ok(())
     }
 
-    fn cmd_hammer(
-        &mut self,
-        lock: Option<&str>,
-        threads: Option<&str>,
-        iters: Option<&str>,
-        hold_us: Option<&str>,
-    ) -> Result<(), String> {
-        let (name, threads, iters) = match (lock, threads, iters) {
-            (Some(l), Some(t), Some(n)) => (
-                l,
-                t.parse::<u32>().map_err(|e| e.to_string())?,
-                n.parse::<u64>().map_err(|e| e.to_string())?,
-            ),
-            _ => return Err("usage: hammer <lock> <threads> <iters> [hold_us]".into()),
+    fn cmd_hammer(&mut self, args: &[&str]) -> Result<(), CtlError> {
+        const USAGE: &str = "hammer <lock> <threads> <iters> [hold_us]";
+        let count = |s: &str| {
+            s.parse::<u64>()
+                .map_err(|e| CtlError::BadArg(e.to_string()))
         };
-        let hold_us = match hold_us {
-            Some(h) => h.parse::<u64>().map_err(|e| e.to_string())?,
-            None => 0,
+        let (name, threads, iters, hold_us) = match args {
+            [l, t, n] => (*l, count(t)?, count(n)?, 0),
+            [l, t, n, h] => (*l, count(t)?, count(n)?, count(h)?),
+            _ => return Err(CtlError::Usage(USAGE)),
         };
-        // Spinning (rather than sleeping) inside the critical section keeps
-        // the holder on-CPU, so waiters reliably hit the contended slow
-        // path even on one core — the analyzer smoke depends on that.
-        let hold = move || {
-            if hold_us > 0 {
-                let end = std::time::Instant::now() + std::time::Duration::from_micros(hold_us);
-                while std::time::Instant::now() < end {
-                    std::hint::spin_loop();
-                }
-            }
+        let lock: Arc<dyn RawLock> = if let Some(l) = self.shfl.get(name) {
+            Arc::clone(l) as _
+        } else if let Some(l) = self.mutexes.get(name) {
+            Arc::clone(l) as _
+        } else {
+            return Err(CtlError::Refused(format!(
+                "`{name}` is not a hammerable lock"
+            )));
         };
         let start = std::time::Instant::now();
-        if let Some(l) = self.shfl.get(name) {
-            let mut hs = Vec::new();
-            for t in 0..threads {
-                let l = Arc::clone(l);
-                hs.push(std::thread::spawn(move || {
-                    locks::topo::pin_thread((t * 10) % 80);
+        let workers: Vec<_> = (0..threads)
+            .map(|t| {
+                let lock = Arc::clone(&lock);
+                std::thread::spawn(move || {
+                    locks::topo::pin_thread(((t * 10) % 80) as u32);
                     for _ in 0..iters {
-                        let g = l.lock();
-                        hold();
-                        drop(g);
+                        lock.acquire();
+                        // Spinning (rather than sleeping) inside the critical
+                        // section keeps the holder on-CPU, so waiters reliably
+                        // hit the contended slow path even on one core — the
+                        // analyzer smoke depends on that.
+                        if hold_us > 0 {
+                            let end = std::time::Instant::now()
+                                + std::time::Duration::from_micros(hold_us);
+                            while std::time::Instant::now() < end {
+                                std::hint::spin_loop();
+                            }
+                        }
+                        lock.release();
                     }
-                }));
-            }
-            for h in hs {
-                h.join().map_err(|_| "worker thread panicked".to_string())?;
-            }
-        } else if let Some(l) = self.mutexes.get(name) {
-            let mut hs = Vec::new();
-            for t in 0..threads {
-                let l = Arc::clone(l);
-                hs.push(std::thread::spawn(move || {
-                    locks::topo::pin_thread((t * 10) % 80);
-                    for _ in 0..iters {
-                        let g = l.lock();
-                        hold();
-                        drop(g);
-                    }
-                }));
-            }
-            for h in hs {
-                h.join().map_err(|_| "worker thread panicked".to_string())?;
-            }
-        } else {
-            return Err(format!("`{name}` is not a hammerable lock"));
+                })
+            })
+            .collect();
+        for w in workers {
+            w.join()
+                .map_err(|_| CtlError::Refused("worker thread panicked".into()))?;
         }
         println!(
             "  {} acquisitions in {:?}",
-            u64::from(threads) * iters,
+            threads * iters,
             start.elapsed()
         );
         Ok(())
@@ -1001,15 +956,16 @@ impl Ctl {
 
     /// Resolve a `--lock` filter operand: a registered lock name, or a
     /// literal numeric id for locks outside the demo registry.
-    fn lock_id_of(&self, s: &str) -> Result<u64, String> {
+    fn lock_id_of(&self, s: &str) -> Result<u64, CtlError> {
         if let Some(h) = self.concord.registry().get(s) {
             return Ok(h.id());
         }
         s.parse::<u64>()
-            .map_err(|_| format!("unknown lock `{s}` (not a registered name or numeric id)"))
+            .map_err(|_| CtlError::UnknownLock(s.to_string()))
     }
 
-    fn cmd_trace(&mut self, rest: &[&str]) -> Result<(), String> {
+    fn cmd_trace(&mut self, rest: &[&str]) -> Result<(), CtlError> {
+        let bad = CtlError::BadArg;
         match rest.first().copied() {
             Some("on") => {
                 telemetry::set_armed(true);
@@ -1028,24 +984,30 @@ impl Ctl {
                 while let Some(tok) = it.next() {
                     match *tok {
                         "--since" => {
-                            let v = it.next().ok_or("--since needs <ns>")?;
+                            let v = it.next().ok_or_else(|| bad("--since needs <ns>".into()))?;
                             filter.since_ns =
-                                Some(v.parse().map_err(|e| format!("--since: {e}"))?);
+                                Some(v.parse().map_err(|e| bad(format!("--since: {e}")))?);
                         }
                         "--lock" => {
-                            let v = it.next().ok_or("--lock needs <name|id>")?;
+                            let v = it
+                                .next()
+                                .ok_or_else(|| bad("--lock needs <name|id>".into()))?;
                             filter.lock = Some(self.lock_id_of(v)?);
                         }
                         "--event" => {
-                            let v = it.next().ok_or("--event needs <kind>")?;
+                            let v = it
+                                .next()
+                                .ok_or_else(|| bad("--event needs <kind>".into()))?;
                             filter.kind = Some(
                                 telemetry::EventKind::from_name(v)
-                                    .ok_or_else(|| format!("unknown event kind `{v}`"))?,
+                                    .ok_or_else(|| bad(format!("unknown event kind `{v}`")))?,
                             );
                         }
                         tok => {
                             n = tok.parse().map_err(|_| {
-                                format!("unexpected `{tok}` (want a count or --since/--lock/--event)")
+                                bad(format!(
+                                    "unexpected `{tok}` (want a count or --since/--lock/--event)"
+                                ))
                             })?;
                         }
                     }
@@ -1070,7 +1032,7 @@ impl Ctl {
                 Ok(())
             }
             Some("save") => {
-                let file = rest.get(1).ok_or("usage: trace save <file>")?;
+                let file = rest.get(1).ok_or(CtlError::Usage("trace save <file>"))?;
                 // Drain (consume) into the flat binary record format that
                 // `analyze <file>` reads back.
                 let events = telemetry::drain();
@@ -1078,7 +1040,8 @@ impl Ctl {
                 for ev in &events {
                     bytes.extend_from_slice(&ev.to_bytes());
                 }
-                std::fs::write(file, &bytes).map_err(|e| format!("write {file}: {e}"))?;
+                std::fs::write(file, &bytes)
+                    .map_err(|e| CtlError::Io(format!("write {file}: {e}")))?;
                 println!("  saved {} event(s) to {file}", events.len());
                 Ok(())
             }
@@ -1100,9 +1063,9 @@ impl Ctl {
                 );
                 Ok(())
             }
-            Some(other) => Err(format!(
+            Some(other) => Err(bad(format!(
                 "unknown trace subcommand `{other}` (on|off|tail [n]|json|save <file>|status)"
-            )),
+            ))),
         }
     }
 
@@ -1183,7 +1146,7 @@ impl Ctl {
 
     /// Blame view over the last analysis: caused/suffered wait per
     /// (lock, tenant, policy), ranked by caused nanoseconds.
-    fn cmd_blame(&mut self, (): ()) -> Result<(), CtlError> {
+    fn cmd_blame(&mut self) -> Result<(), CtlError> {
         let r = self.last_report()?;
         let mut any = false;
         for l in r.locks.values() {
@@ -1229,7 +1192,7 @@ impl Ctl {
     }
 
     /// Blocking-chain view over the last analysis, ranked by blocked ns.
-    fn cmd_chains(&mut self, (): ()) -> Result<(), CtlError> {
+    fn cmd_chains(&mut self) -> Result<(), CtlError> {
         let r = self.last_report()?;
         if r.chains.is_empty() {
             println!("  (no blocking chains in the last analysis)");
@@ -1265,7 +1228,7 @@ impl Ctl {
 
     /// Ranks locks by slow-path activity currently resident in the trace
     /// rings — the trace-plane analogue of `lockstat -top`.
-    fn cmd_top(&mut self) -> Result<(), String> {
+    fn cmd_top(&mut self) -> Result<(), CtlError> {
         let events = telemetry::snapshot_last(usize::MAX);
         if events.is_empty() {
             println!("  (no trace events — arm with `trace on` and drive load)");
@@ -1304,14 +1267,14 @@ impl Ctl {
         Ok(())
     }
 
-    fn cmd_stats(&mut self, lock: Option<&str>) -> Result<(), String> {
-        let name = lock.ok_or("usage: stats <lock>")?;
+    fn cmd_stats(&mut self, lock: Option<&str>) -> Result<(), CtlError> {
+        let name = lock.ok_or(CtlError::Usage("stats <lock>"))?;
         if let Some(l) = self.shfl.get(name) {
             println!("  shuffle phases: {}", l.shuffle_count());
         } else if let Some(l) = self.mutexes.get(name) {
             println!("  parks: {}", l.park_count());
         } else {
-            return Err(format!("no stats for `{name}`"));
+            return Err(CtlError::Refused(format!("no stats for `{name}`")));
         }
         Ok(())
     }
@@ -1343,8 +1306,6 @@ fn main() {
                 break;
             }
         }
-        // Legacy commands keep the always-exit-0 contract; only the
-        // typed (rollout/quarantine) surface gates the exit code.
         std::process::exit(i32::from(ctl.failed));
     }
     println!("c3ctl — Concord control plane (type `help`)");

@@ -1396,7 +1396,7 @@ impl fmt::Display for RolloutStatus {
 // Chaos sweep harness
 
 /// The crash-point sweep shared by `tests/rollout_chaos.rs` and the
-/// `chaos_gate` CI bin.
+/// chaos rows of the CI `gate` bin.
 pub mod chaos {
     use super::{ChaosPlan, RolloutError};
 

@@ -436,7 +436,7 @@ mod tests {
         assert_eq!(run(9), run(9));
         assert_ne!(run(9), run(10));
         assert!(run(9).iter().any(|a| *a != SchedAction::Proceed));
-        assert!(run(9).iter().any(|a| *a == SchedAction::Proceed));
+        assert!(run(9).contains(&SchedAction::Proceed));
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Deliberately buggy locks — the planted-bug corpus for the schedule
-//! explorer (`concord::explore`) and the CI `schedule_gate`.
+//! explorer (`concord::explore`) and the CI `gate` schedule rows.
 //!
 //! Each lock here carries a classic concurrency defect that only
 //! manifests under particular interleavings, which the explorer's

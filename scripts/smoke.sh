@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# Smoke pass: build, test, and regenerate one sweep point per figure in a
-# few minutes. Uses the env knobs in crates/bench/src/lib.rs:
+# Smoke pass: release build, then one sweep point per figure and the
+# c3ctl success and failure paths, in a few minutes. The test suite is
+# not run here; scripts/ci.sh runs it once. Uses the env knobs in
+# crates/bench/src/lib.rs:
 #   C3_BENCH_WINDOW_MS  virtual window per configuration (default 3)
 #   C3_BENCH_THREADS    thread counts to sweep (default: the paper x-axis)
 #   C3_BENCH_WORKERS    sweep worker threads (default: host parallelism)
@@ -9,7 +11,6 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
-cargo test -q
 
 export C3_BENCH_WINDOW_MS="${C3_BENCH_WINDOW_MS:-1}"
 export C3_BENCH_THREADS="${C3_BENCH_THREADS:-8}"
@@ -219,5 +220,26 @@ if ./target/release/c3ctl "$fleet_fail_script" >/dev/null 2>&1; then
     exit 1
 fi
 echo "c3ctl fleet smoke ok"
+
+# Failure-path smoke: every c3ctl command reports a typed error, so a
+# failing `attach` (unknown policy) or `stats` (unknown lock) in a
+# script must exit exactly 1 — not 0, and not a panic's 101.
+echo "== c3ctl failure-path smoke =="
+fail_script="$(mktemp)"
+trap 'rm -f "$trace_script" "$rollout_script" "$rollout_fail_script" \
+    "$explore_script" "$explore_fail_script" "$explore_repro" \
+    "$policy_src" "$policy_art" "$policy_script" "$policy_fail_script" \
+    "$analyze_trace" "$analyze_flame" "$analyze_script" "$analyze_fail_script" \
+    "$fleet_script" "$fleet_fail_script" "$fail_script"' EXIT
+for cmd in 'attach nope nothing' 'stats nope'; do
+    printf '%s\nquit\n' "$cmd" > "$fail_script"
+    status=0
+    ./target/release/c3ctl "$fail_script" >/dev/null 2>&1 || status=$?
+    if [ "$status" -ne 1 ]; then
+        echo "c3ctl failure-path smoke FAILED: \`$cmd\` exited $status, want 1" >&2
+        exit 1
+    fi
+done
+echo "c3ctl failure-path smoke ok"
 
 echo "smoke ok: csvs in $C3_RESULTS_DIR"

@@ -59,7 +59,8 @@ fn bad_commands_report_errors_not_crashes() {
         .output()
         .expect("c3ctl runs");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success());
+    // Every line fails, so the script exits 1 (a panic would exit 101).
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
     assert!(stdout.contains("unknown command `bogus`"));
     assert!(stdout.contains("no loaded policy"));
     assert!(stdout.contains("unknown hook"));

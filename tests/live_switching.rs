@@ -29,6 +29,12 @@ fn attach_detach_while_lock_is_hot() {
         }));
     }
 
+    // Wait until a worker has actually acquired, so the switching below
+    // runs against a hot lock even when the workers start late.
+    while total.load(Ordering::Relaxed) == 0 {
+        std::thread::yield_now();
+    }
+
     // Control plane: repeatedly load, attach, detach different policies
     // while the workers run.
     let loaded_numa = concord.load(concord::policies::numa_aware()).unwrap();
